@@ -71,9 +71,6 @@ func (as *AddrSpace) MustAlloc(n int, name string) Segment {
 // region shared with the kernel).
 func (as *AddrSpace) Map(seg Segment) { as.segs = append(as.segs, seg) }
 
-// Segments returns the mapped segments.
-func (as *AddrSpace) Segments() []Segment { return append([]Segment(nil), as.segs...) }
-
 // find returns the segment containing [addr, addr+n).
 func (as *AddrSpace) find(addr uint32, n int) (Segment, bool) {
 	for _, s := range as.segs {

@@ -1,9 +1,11 @@
 package aegis
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"ashs/internal/dpf"
 	"ashs/internal/mach"
 	"ashs/internal/netdev"
 	"ashs/internal/sim"
@@ -68,5 +70,45 @@ func TestKernelBindVCExhaustionSurfacesError(t *testing.T) {
 	an2 := NewAN2(k, sw)
 	if _, err := an2.BindVC(nil, 7, 1, HostMemSize+1); err == nil {
 		t.Fatal("kernel BindVC with oversized buffer succeeded")
+	}
+}
+
+// bindMallocs is the measured heap-allocation count of 2^16 BindFilter
+// calls of freshly built 3-atom filters into one interface, 2.0176 per
+// bind: the filter's atom array (garbage once installed), the binding
+// with its embedded ring, and the amortized growth of the trie arenas,
+// the kid map and the binding table.
+const bindMallocs = 132228
+
+// BindFilter is the setup path of every fan-in world, a million binds
+// deep at the largest scale, so its allocation count is gated exactly:
+// 2^16 client filters sharing two trie levels and branching on the
+// source address, the shape the fan-in experiments install.
+func TestBindFilterAllocs(t *testing.T) {
+	const n = 1 << 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var eth *EthernetIf
+	bind := func() uint64 {
+		eng := sim.NewEngine()
+		sw := netdev.NewSwitch(eng, mach.DS5000_240(), netdev.EthernetConfig())
+		eth = NewEthernet(newHost(eng, "h"), sw)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := uint32(0); i < n; i++ {
+			f := dpf.NewFilter().Eq16(12, 0x0800).Eq8(23, 17).Eq32(26, 0x0a000000+i)
+			if _, err := eth.BindFilter(nil, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	// The better of two runs: a collection the runtime happens to start
+	// mid-loop may allocate for itself, and that is not BindFilter's cost.
+	if got := min(bind(), bind()); got > bindMallocs {
+		t.Fatalf("%d binds made %d mallocs (%.4f each), gate is %d", n, got, float64(got)/n, bindMallocs)
+	}
+	if eth.Filters() != n || eth.TrieDepth() != 3 {
+		t.Fatalf("%d filters at depth %d, want %d at depth 3", eth.Filters(), eth.TrieDepth(), n)
 	}
 }

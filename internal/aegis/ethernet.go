@@ -12,9 +12,12 @@ import (
 // as a DPF packet filter (Section IV-A: "the Ethernet device is securely
 // exported by a packet filter engine").
 type EthBinding struct {
-	ID      dpf.FilterID
-	Owner   *Process
+	ID    dpf.FilterID
+	Owner *Process
+	// Ring points at ring, stored in the binding so a bind is one
+	// allocation.
 	Ring    *Ring
+	ring    Ring
 	Handler MsgHandler
 	Upcall  *Upcall
 
@@ -42,7 +45,7 @@ type EthernetIf struct {
 	Sw   *netdev.Switch
 
 	engine   *dpf.Engine
-	bindings map[dpf.FilterID]*EthBinding
+	bindings []*EthBinding // indexed by FilterID; nil once unbound
 
 	bufs     []Segment // striped kernel receive buffers (2x MTU each)
 	freeBufs bufFIFO
@@ -93,8 +96,7 @@ func NewEthernet(k *Kernel, sw *netdev.Switch) *EthernetIf {
 func NewEthernetPool(k *Kernel, sw *netdev.Switch, nbufs int) *EthernetIf {
 	e := &EthernetIf{
 		K: k, Port: sw.NewPort(), Sw: sw,
-		engine:   dpf.NewEngine(),
-		bindings: map[dpf.FilterID]*EthBinding{},
+		engine: dpf.NewEngine(),
 	}
 	bufSize := 2 * (sw.Cfg.MaxFrame + StripeChunk)
 	e.freeBufs.init(nbufs)
@@ -125,8 +127,10 @@ func (e *EthernetIf) BindFilter(p *Process, f *dpf.Filter) (*EthBinding, error) 
 	if err != nil {
 		return nil, err
 	}
-	b := &EthBinding{ID: id, Owner: p, Ring: NewRing(e.K), ether: e}
-	e.bindings[id] = b
+	b := &EthBinding{ID: id, Owner: p, ring: Ring{k: e.K}, ether: e}
+	b.Ring = &b.ring
+	// The engine issues ids densely from 0, so id == len(e.bindings).
+	e.bindings = append(e.bindings, b)
 	return b, nil
 }
 
@@ -140,8 +144,11 @@ func (e *EthernetIf) Filters() int { return e.engine.Len() }
 
 // UnbindFilter removes a binding.
 func (e *EthernetIf) UnbindFilter(b *EthBinding) error {
-	delete(e.bindings, b.ID)
-	return e.engine.Remove(b.ID)
+	if err := e.engine.Remove(b.ID); err != nil {
+		return err
+	}
+	e.bindings[b.ID] = nil
+	return nil
 }
 
 // Stripe writes frame into buf in the device's striped layout: 16 bytes of

@@ -148,9 +148,6 @@ func (p *Process) rotate() {
 	p.ensureCPU()
 }
 
-// Yield voluntarily gives up the rest of the quantum.
-func (p *Process) Yield() { p.rotate() }
-
 // Block releases the CPU and waits until Wake. The caller must arrange the
 // wakeup before blocking can be safely used (lost wakeups are prevented by
 // the lock-step engine: Wake between release and park is impossible).
@@ -207,9 +204,6 @@ func (p *Process) SleepUntil(t sim.Time) {
 		p.block()
 	}
 }
-
-// SpinFor is a compute-bound workload helper: consume CPU for d cycles.
-func (p *Process) SpinFor(d sim.Time) { p.Compute(d) }
 
 // SpinForever makes the process compute-bound until the simulation ends.
 func (p *Process) SpinForever() {

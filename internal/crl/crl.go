@@ -192,6 +192,8 @@ func GenericWriteHandler(tableAddr uint32, nsegs int, replyDst, replyVC int) *vc
 	status := b.Temp()
 
 	b.Mov(msg, vcode.RArg0)
+	// The request id first, so even a refused request's reply names it.
+	b.Ld32(reqid, msg, 8)
 	// Magic and version checks.
 	b.Ld32(t1, msg, 0)
 	b.MovI(t2, magic)
@@ -200,7 +202,6 @@ func GenericWriteHandler(tableAddr uint32, nsegs int, replyDst, replyVC int) *vc
 	b.SrlI(t1, t1, 16) // version in the high half
 	b.MovI(t2, 1)
 	b.Bne(t1, t2, fail)
-	b.Ld32(reqid, msg, 8)
 	// Request fields.
 	b.Ld32(segno, msg, 12)
 	b.Ld32(off, msg, 16)

@@ -241,6 +241,38 @@ func TestGenericWriteValidation(t *testing.T) {
 	}
 }
 
+// A write refused for its magic must still echo its own request id, not
+// the id a previous message left in the handler's register.
+func TestGenericWriteRefusalEchoesOwnID(t *testing.T) {
+	w := newWorld(t)
+	segID, _, _ := w.node.AddSegment(4096, "shared")
+	w.install(t, GenericWriteHandler(w.node.TableAddr(), MaxSegments, 0, 8), 8, false)
+	write := func(magic, id uint32) []byte {
+		m := append(u32(magic), u32(1<<16)...)
+		m = append(m, u32(id)...)
+		m = append(m, u32(uint32(segID))...)
+		m = append(m, u32(0)...)
+		m = append(m, u32(16)...)
+		return w.rpcOnce(t, 8, append(m, make([]byte, 16)...))
+	}
+	for _, tc := range []struct {
+		name       string
+		magic, id  uint32
+		wantStatus uint32
+	}{
+		{"good", 0x44534d21, 41, 0},
+		{"bad magic", 0xbadbad, 42, 1},
+	} {
+		reply := write(tc.magic, tc.id)
+		if len(reply) != 12 {
+			t.Fatalf("%s: reply = %x", tc.name, reply)
+		}
+		if id, st := binary.BigEndian.Uint32(reply[4:]), binary.BigEndian.Uint32(reply[8:]); id != tc.id || st != tc.wantStatus {
+			t.Fatalf("%s: reply id %d status %d, want id %d status %d", tc.name, id, st, tc.id, tc.wantStatus)
+		}
+	}
+}
+
 // rpcOnce is rpc for repeated calls on one world (client endpoint reused).
 func (w *world) rpcOnce(t *testing.T, vc int, msg []byte) []byte {
 	t.Helper()

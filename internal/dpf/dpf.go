@@ -62,8 +62,14 @@ type Filter struct {
 	Atoms []Atom
 }
 
-// NewFilter builds a filter from atoms.
-func NewFilter(atoms ...Atom) *Filter { return &Filter{Atoms: atoms} }
+// NewFilter builds a filter from atoms. With none it starts room for four,
+// so a filter built up with the Eq* builders allocates its atoms once.
+func NewFilter(atoms ...Atom) *Filter {
+	if len(atoms) == 0 {
+		atoms = make([]Atom, 0, 4)
+	}
+	return &Filter{Atoms: atoms}
+}
 
 // Eq16 appends a 16-bit equality atom and returns the filter (builder style).
 func (f *Filter) Eq16(off int, v uint16) *Filter {
@@ -125,8 +131,12 @@ const CompiledCyclesPerAtom = 3
 // Interpret evaluates the filter the way an interpreted engine would,
 // returning the match result and the modeled cycle cost.
 func Interpret(f *Filter, pkt []byte) (bool, sim.Time) {
+	return interpret(f.Atoms, pkt)
+}
+
+func interpret(atoms []Atom, pkt []byte) (bool, sim.Time) {
 	var cycles sim.Time
-	for _, a := range f.Atoms {
+	for _, a := range atoms {
 		cycles += InterpCyclesPerAtom
 		v, ok := field(pkt, a.Offset, a.Size)
 		if !ok || v&a.mask() != a.Value {

@@ -3,7 +3,6 @@ package dpf
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"ashs/internal/sim"
 )
@@ -20,14 +19,20 @@ var ErrDuplicateFilter = errors.New("dpf: duplicate filter")
 // ownership no matter how many filters are installed. This is the property
 // that makes DPF an order of magnitude faster than engines that try each
 // filter in turn.
+//
+// The trie is stored pointer-light, so that a million installed filters
+// cost the garbage collector almost nothing to trace: nodes live in an
+// arena addressed by int32 index (the root is index 0), each branch maps
+// field values to kid indices in a map the collector does not scan, and
+// every filter's atoms are copied at install, in install order, into a
+// pointer-free atom store. Ids are issued densely in ascending order, so
+// the per-id atom spans are themselves an arena indexed by id.
 type Engine struct {
-	root    *node
-	filters map[FilterID]*Filter
-	// ordered holds the installed ids sorted ascending, maintained on
-	// Insert/Remove so the linear-scan baseline iterates without building
-	// (and sorting) a fresh id slice per packet.
-	ordered []FilterID
-	nextID  FilterID
+	nodes    arena[node]
+	branches arena[branch]
+	spans    arena[span] // indexed by FilterID
+	atoms    atomStore
+	live     int
 
 	// reordered is set by Reorder and cleared by Insert/Remove: the
 	// per-branch maxDepth bounds it computed are only trusted while the
@@ -35,17 +40,23 @@ type Engine struct {
 	reordered bool
 }
 
+// none marks an absent node terminal or an empty branch link.
+const none = -1
+
 // node is one trie level. Each branch discriminates on a (offset, size,
-// mask) field; filters sharing a prefix share branches.
+// mask) field; filters sharing a prefix share branches. A node's branches
+// form a list through branch.next, in install order until Reorder sorts it.
 type node struct {
-	terminal   FilterID // filter that matches if the walk ends here
-	hasTermnal bool
-	branches   []*branch
+	terminal int32 // filter that matches if the walk ends here, or none
+	first    int32 // head of the branch list, or none
 }
+
+var emptyNode = node{terminal: none, first: none}
 
 type branch struct {
 	k    key
-	kids map[uint32]*node
+	kids map[uint32]int32 // field value -> node index
+	next int32            // next branch of the same node, or none
 
 	// hits counts packets that descended this branch; Reorder sorts each
 	// node's branch list by it so generated code tests hot fields first.
@@ -55,9 +66,19 @@ type branch struct {
 	maxDepth int
 }
 
+// span locates one filter's atoms in the atom store; n is removed once
+// the filter is uninstalled.
+type span struct {
+	chunk, off, n int32
+}
+
+const removed = -1
+
 // NewEngine returns an empty demux engine.
 func NewEngine() *Engine {
-	return &Engine{root: &node{}, filters: map[FilterID]*Filter{}}
+	e := &Engine{}
+	e.nodes.put(emptyNode)
+	return e
 }
 
 // Depth reports the deepest trie level (atoms along the longest installed
@@ -65,14 +86,14 @@ func NewEngine() *Engine {
 // report it next to the measured cyc/msg to show the walk depth — not the
 // filter count — is what demux cost tracks.
 func (e *Engine) Depth() int {
-	return trieDepth(e.root)
+	return e.trieDepth(0)
 }
 
-func trieDepth(n *node) int {
+func (e *Engine) trieDepth(ni int32) int {
 	deepest := 0
-	for _, b := range n.branches {
-		for _, kid := range b.kids {
-			if d := 1 + trieDepth(kid); d > deepest {
+	for bi := e.nodes.at(ni).first; bi != none; bi = e.branches.at(bi).next {
+		for _, kid := range e.branches.at(bi).kids {
+			if d := 1 + e.trieDepth(kid); d > deepest {
 				deepest = d
 			}
 		}
@@ -80,111 +101,152 @@ func trieDepth(n *node) int {
 	return deepest
 }
 
-// canonical returns the filter's atoms sorted into trie order.
-func canonical(f *Filter) []Atom {
-	atoms := append([]Atom(nil), f.Atoms...)
-	sort.SliceStable(atoms, func(i, j int) bool {
-		if atoms[i].Offset != atoms[j].Offset {
-			return atoms[i].Offset < atoms[j].Offset
-		}
-		if atoms[i].Size != atoms[j].Size {
-			return atoms[i].Size < atoms[j].Size
-		}
-		return atoms[i].mask() < atoms[j].mask()
-	})
-	return atoms
+func (a Atom) key() key { return key{a.Offset, a.Size, a.mask()} }
+
+func (k key) less(o key) bool {
+	if k.off != o.off {
+		return k.off < o.off
+	}
+	if k.size != o.size {
+		return k.size < o.size
+	}
+	return k.mask < o.mask
 }
 
+// canonical copies atoms into buf sorted into trie order (offset, size,
+// mask). It is a stable insertion sort: filters are a handful of atoms,
+// and sorting in place into the caller's buffer allocates nothing.
+func canonical(buf, atoms []Atom) []Atom {
+	buf = append(buf[:0], atoms...)
+	for i := 1; i < len(buf); i++ {
+		a, ak := buf[i], buf[i].key()
+		j := i
+		for ; j > 0 && ak.less(buf[j-1].key()); j-- {
+			buf[j] = buf[j-1]
+		}
+		buf[j] = a
+	}
+	return buf
+}
+
+// maxStackAtoms sizes the on-stack canonicalization buffer; longer
+// filters sort in a heap buffer.
+const maxStackAtoms = 8
+
 // Insert installs a filter and returns its id. Filters are merged into the
-// trie at install time — the "compile when installed" half of DPF.
+// trie at install time — the "compile when installed" half of DPF. The
+// engine copies the filter's atoms and keeps no reference to f.
 func (e *Engine) Insert(f *Filter) (FilterID, error) {
-	atoms := canonical(f)
-	n := e.root
-	for _, a := range atoms {
-		k := key{a.Offset, a.Size, a.mask()}
-		var br *branch
-		for _, b := range n.branches {
-			if b.k == k {
-				br = b
-				break
-			}
+	var buf [maxStackAtoms]Atom
+	ni := int32(0)
+	for _, a := range canonical(buf[:0], f.Atoms) {
+		b := e.branches.at(e.branchFor(ni, a.key()))
+		kid, ok := b.kids[a.Value]
+		if !ok {
+			kid = e.nodes.put(emptyNode)
+			b.kids[a.Value] = kid
 		}
-		if br == nil {
-			br = &branch{k: k, kids: map[uint32]*node{}}
-			n.branches = append(n.branches, br)
-		}
-		kid := br.kids[a.Value]
-		if kid == nil {
-			kid = &node{}
-			br.kids[a.Value] = kid
-		}
-		n = kid
+		ni = kid
 	}
-	if n.hasTermnal {
-		return 0, fmt.Errorf("%w: %v", ErrDuplicateFilter, atoms)
+	n := e.nodes.at(ni)
+	if n.terminal != none {
+		// Built apart from buf so the stack buffer never escapes.
+		return 0, fmt.Errorf("%w: %v", ErrDuplicateFilter, canonical(nil, f.Atoms))
 	}
-	id := e.nextID
-	e.nextID++
-	n.terminal = id
-	n.hasTermnal = true
-	e.filters[id] = f
-	e.ordered = append(e.ordered, id) // ids are issued ascending
-	e.reordered = false               // trie shape changed: depth bounds stale
+	id := FilterID(e.spans.len())
+	n.terminal = int32(id)
+	e.spans.put(e.atoms.add(f.Atoms))
+	e.live++
+	e.reordered = false // trie shape changed: depth bounds stale
 	return id, nil
+}
+
+// branchFor returns node ni's branch on k, appending one to the end of
+// its branch list if there is none.
+func (e *Engine) branchFor(ni int32, k key) int32 {
+	n := e.nodes.at(ni)
+	link := &n.first
+	for *link != none {
+		b := e.branches.at(*link)
+		if b.k == k {
+			return *link
+		}
+		link = &b.next
+	}
+	*link = e.branches.put(branch{k: k, kids: map[uint32]int32{}, next: none})
+	return *link
+}
+
+// installed returns the span of a live filter.
+func (e *Engine) installed(id FilterID) (*span, bool) {
+	if id < 0 || int(id) >= e.spans.len() {
+		return nil, false
+	}
+	s := e.spans.at(int32(id))
+	return s, s.n != removed
 }
 
 // Remove uninstalls a filter.
 func (e *Engine) Remove(id FilterID) error {
-	f, ok := e.filters[id]
+	s, ok := e.installed(id)
 	if !ok {
 		return fmt.Errorf("dpf: no filter %d", id)
 	}
-	delete(e.filters, id)
-	// Walk to the terminal and clear it; prune empty nodes on the way back.
-	var prune func(n *node, atoms []Atom) bool
-	prune = func(n *node, atoms []Atom) bool {
-		if len(atoms) == 0 {
-			n.hasTermnal = false
-			n.terminal = 0
-		} else {
-			a := atoms[0]
-			k := key{a.Offset, a.Size, a.mask()}
-			for bi, b := range n.branches {
-				if b.k != k {
-					continue
-				}
-				kid := b.kids[a.Value]
-				if kid == nil {
-					break
-				}
-				if prune(kid, atoms[1:]) {
-					delete(b.kids, a.Value)
-					if len(b.kids) == 0 {
-						n.branches = append(n.branches[:bi], n.branches[bi+1:]...)
-					}
-				}
-				break
-			}
-		}
-		return !n.hasTermnal && len(n.branches) == 0
-	}
-	prune(e.root, canonical(f))
-	for i, oid := range e.ordered {
-		if oid == id {
-			e.ordered = append(e.ordered[:i], e.ordered[i+1:]...)
-			break
-		}
-	}
+	var buf [maxStackAtoms]Atom
+	e.prune(0, canonical(buf[:0], e.atoms.get(*s)))
+	s.n = removed
+	e.live--
 	e.reordered = false // trie shape changed: depth bounds stale
 	return nil
 }
 
+// prune walks atoms down from node ni, clears the terminal at the end of
+// the path, and frees the nodes and branches left empty on the way back.
+// It reports whether ni itself is now empty.
+func (e *Engine) prune(ni int32, atoms []Atom) bool {
+	n := e.nodes.at(ni)
+	if len(atoms) == 0 {
+		n.terminal = none
+		return n.first == none
+	}
+	a := atoms[0]
+	k := a.key()
+	for link := &n.first; *link != none; {
+		bi := *link
+		b := e.branches.at(bi)
+		if b.k != k {
+			link = &b.next
+			continue
+		}
+		kid, ok := b.kids[a.Value]
+		if ok && e.prune(kid, atoms[1:]) {
+			delete(b.kids, a.Value)
+			e.nodes.release(kid)
+			if len(b.kids) == 0 {
+				*link = b.next
+				e.branches.release(bi)
+			}
+		}
+		break
+	}
+	return n.terminal == none && n.first == none
+}
+
 // Len reports the number of installed filters.
-func (e *Engine) Len() int { return len(e.filters) }
+func (e *Engine) Len() int { return e.live }
 
 // trieStepCycles models one trie level in generated code: specialized
 // field load + dispatch on the value.
 const trieStepCycles = CompiledCyclesPerAtom + 2
+
+// walker is one Demux classification in progress.
+type walker struct {
+	pkt       []byte
+	cycles    sim.Time
+	best      FilterID
+	bestDepth int
+	found     bool
+}
 
 // Demux classifies a packet in one trie walk. It returns the most specific
 // matching filter (deepest terminal, ties broken toward the oldest
@@ -198,58 +260,143 @@ const trieStepCycles = CompiledCyclesPerAtom + 2
 // generated-code trie step, so the cost stays O(depth × branching), not
 // O(filters).
 func (e *Engine) Demux(pkt []byte) (FilterID, sim.Time, bool) {
-	var cycles sim.Time
-	best := FilterID(0)
-	bestDepth := -1
-	found := false
-	var walk func(n *node, depth int)
-	walk = func(n *node, depth int) {
-		if n.hasTermnal && (depth > bestDepth || depth == bestDepth && (!found || n.terminal < best)) {
-			best, bestDepth, found = n.terminal, depth, true
+	w := walker{pkt: pkt, bestDepth: -1}
+	e.walk(&w, 0, 0)
+	return w.best, w.cycles, w.found
+}
+
+func (e *Engine) walk(w *walker, ni int32, depth int) {
+	n := e.nodes.at(ni)
+	if t := FilterID(n.terminal); n.terminal != none &&
+		(depth > w.bestDepth || depth == w.bestDepth && (!w.found || t < w.best)) {
+		w.best, w.bestDepth, w.found = t, depth, true
+	}
+	for bi := n.first; bi != none; {
+		b := e.branches.at(bi)
+		bi = b.next
+		// After Reorder, hot branches come first and each branch carries
+		// the deepest terminal reachable below it, so a branch whose
+		// entire subtree is strictly shallower than the best match so
+		// far cannot change the outcome (equal depth still ties toward
+		// the lowest id, so only *strictly* losing branches skip). The
+		// generated code pays one bound test instead of a full step.
+		if e.reordered && depth+b.maxDepth < w.bestDepth {
+			w.cycles += prunedStepCycles
+			continue
 		}
-		for _, b := range n.branches {
-			// After Reorder, hot branches come first and each branch carries
-			// the deepest terminal reachable below it, so a branch whose
-			// entire subtree is strictly shallower than the best match so
-			// far cannot change the outcome (equal depth still ties toward
-			// the lowest id, so only *strictly* losing branches skip). The
-			// generated code pays one bound test instead of a full step.
-			if e.reordered && depth+b.maxDepth < bestDepth {
-				cycles += prunedStepCycles
-				continue
-			}
-			cycles += trieStepCycles
-			v, ok := field(pkt, b.k.off, b.k.size)
-			if !ok {
-				continue
-			}
-			if kid := b.kids[v&b.k.mask]; kid != nil {
-				b.hits++
-				walk(kid, depth+1)
-			}
+		w.cycles += trieStepCycles
+		v, ok := field(w.pkt, b.k.off, b.k.size)
+		if !ok {
+			continue
+		}
+		if kid, ok := b.kids[v&b.k.mask]; ok {
+			b.hits++
+			e.walk(w, kid, depth+1)
 		}
 	}
-	walk(e.root, 0)
-	return best, cycles, found
 }
 
 // DemuxLinear classifies a packet by trying every installed filter in turn
 // with the interpreted matcher — the MPF-class baseline the paper compares
-// DPF against. It scans all filters and returns the most specific match
-// (most atoms, ties broken toward the lowest id) so its dispatch decision
-// agrees with the trie's deepest-terminal rule; the cost of the full scan
-// is what the trie's one-pass walk is measured against.
+// DPF against. It scans all filters, each in its install-time atom order,
+// and returns the most specific match (most atoms, ties broken toward the
+// lowest id) so its dispatch decision agrees with the trie's
+// deepest-terminal rule; the cost of the full scan is what the trie's
+// one-pass walk is measured against.
 func (e *Engine) DemuxLinear(pkt []byte) (FilterID, sim.Time, bool) {
 	var cycles sim.Time
 	best := FilterID(0)
 	bestAtoms := -1
 	found := false
-	for _, id := range e.ordered {
-		ok, c := Interpret(e.filters[id], pkt)
+	for id := int32(0); id < int32(e.spans.len()); id++ {
+		s := e.spans.at(id)
+		if s.n == removed {
+			continue
+		}
+		ok, c := interpret(e.atoms.get(*s), pkt)
 		cycles += c
-		if ok && len(e.filters[id].Atoms) > bestAtoms {
-			best, bestAtoms, found = id, len(e.filters[id].Atoms), true
+		if ok && int(s.n) > bestAtoms {
+			best, bestAtoms, found = FilterID(id), int(s.n), true
 		}
 	}
 	return best, cycles, found
+}
+
+// arenaBits sets the chunk size of the index arenas: 256 slots keep an
+// engine with a handful of filters at a few KB, and a million-filter
+// trie at a few thousand chunks.
+const (
+	arenaBits  = 8
+	arenaChunk = 1 << arenaBits
+)
+
+// arena is a slot store addressed by int32 index. It grows one
+// fixed-size chunk at a time, so growing never copies what it holds and a
+// pointer returned by at stays valid for the arena's life. Released slots
+// go on a free list that put reuses first.
+type arena[T any] struct {
+	chunks [][]T
+	n      int32 // slots ever used
+	free   []int32
+}
+
+func (a *arena[T]) len() int { return int(a.n) }
+
+func (a *arena[T]) at(i int32) *T { return &a.chunks[i>>arenaBits][i&(arenaChunk-1)] }
+
+// put stores v in a released slot if there is one, else in a new slot.
+func (a *arena[T]) put(v T) int32 {
+	var i int32
+	if last := len(a.free) - 1; last >= 0 {
+		i, a.free = a.free[last], a.free[:last]
+	} else {
+		if int(a.n>>arenaBits) == len(a.chunks) {
+			a.chunks = append(a.chunks, make([]T, arenaChunk))
+		}
+		i = a.n
+		a.n++
+	}
+	*a.at(i) = v
+	return i
+}
+
+// release zeroes slot i, dropping what it references, and frees it.
+func (a *arena[T]) release(i int32) {
+	var zero T
+	*a.at(i) = zero
+	a.free = append(a.free, i)
+}
+
+// Atom store chunk sizes: the first chunk is small, each next one doubles
+// up to atomChunkMax, and a filter longer than that gets a chunk of its
+// own length.
+const (
+	atomChunkMin = 16
+	atomChunkMax = 4096
+)
+
+// atomStore holds every installed filter's atoms, each filter contiguous
+// within one chunk. Chunks are never reallocated; a removed filter's
+// atoms stay where they are.
+type atomStore struct {
+	chunks [][]Atom
+}
+
+func (s *atomStore) add(atoms []Atom) span {
+	last := len(s.chunks) - 1
+	if last < 0 || cap(s.chunks[last])-len(s.chunks[last]) < len(atoms) {
+		size := atomChunkMin
+		if last >= 0 {
+			size = min(2*cap(s.chunks[last]), atomChunkMax)
+		}
+		s.chunks = append(s.chunks, make([]Atom, 0, max(size, len(atoms))))
+		last++
+	}
+	off := len(s.chunks[last])
+	s.chunks[last] = append(s.chunks[last], atoms...)
+	return span{chunk: int32(last), off: int32(off), n: int32(len(atoms))}
+}
+
+func (s *atomStore) get(sp span) []Atom {
+	return s.chunks[sp.chunk][sp.off : sp.off+sp.n : sp.off+sp.n]
 }

@@ -1,7 +1,9 @@
 package dpf
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -91,20 +93,32 @@ func TestEngineSiblingBranches(t *testing.T) {
 // every installed filter with the reference matcher, keep the match with
 // the most atoms, ties broken toward the lowest id.
 func oracleDemux(e *Engine, pkt []byte) (FilterID, bool) {
-	ids := make([]FilterID, 0, len(e.filters))
-	for id := range e.filters {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	best := FilterID(0)
 	bestAtoms := -1
 	found := false
-	for _, id := range ids {
-		if e.filters[id].Match(pkt) && len(e.filters[id].Atoms) > bestAtoms {
-			best, bestAtoms, found = id, len(e.filters[id].Atoms), true
+	for _, in := range installedFilters(e) {
+		if in.f.Match(pkt) && len(in.f.Atoms) > bestAtoms {
+			best, bestAtoms, found = in.id, len(in.f.Atoms), true
 		}
 	}
 	return best, found
+}
+
+type installedFilter struct {
+	id FilterID
+	f  *Filter
+}
+
+// installedFilters rebuilds the engine's installed filters from its atom
+// store, ordered by ascending id.
+func installedFilters(e *Engine) []installedFilter {
+	var out []installedFilter
+	for id := FilterID(0); int(id) < e.spans.len(); id++ {
+		if s, ok := e.installed(id); ok {
+			out = append(out, installedFilter{id, NewFilter(e.atoms.get(*s)...)})
+		}
+	}
+	return out
 }
 
 // randomFilter draws a filter with 1-5 atoms: a shared prefix pool forces
@@ -156,6 +170,20 @@ func randomPacket(rng *rand.Rand, filters []*Filter) []byte {
 // dispatch decision on a batch of packets.
 func checkAgainstOracle(t *testing.T, e *Engine, rng *rand.Rand, filters []*Filter, round int) {
 	t.Helper()
+	// The oracle reads the engine's own copies of the atoms, so check
+	// first that they are exactly the filters the test installed.
+	var want, got []string
+	for _, f := range filters {
+		want = append(want, fmt.Sprintf("%#v", f.Atoms))
+	}
+	for _, in := range installedFilters(e) {
+		got = append(got, fmt.Sprintf("%#v", in.f.Atoms))
+	}
+	sort.Strings(want)
+	sort.Strings(got)
+	if !slices.Equal(got, want) || e.Len() != len(filters) {
+		t.Fatalf("round %d: engine holds %v (Len %d), test installed %v", round, got, e.Len(), want)
+	}
 	for trial := 0; trial < 10; trial++ {
 		pkt := randomPacket(rng, filters)
 		wantID, wantOK := oracleDemux(e, pkt)
@@ -172,12 +200,13 @@ func checkAgainstOracle(t *testing.T, e *Engine, rng *rand.Rand, filters []*Filt
 	}
 }
 
-// scrambleHits overwrites every branch's hit counter with a random
-// value, in sorted-key order for reproducibility. Reorder must preserve
-// dispatch under ANY hit assignment — the counters are a cost hint, not
-// a correctness input.
-func scrambleHits(rng *rand.Rand, n *node) {
-	for _, b := range n.branches {
+// scrambleHits overwrites every branch's hit counter below node ni with a
+// random value, in sorted-key order for reproducibility. Reorder must
+// preserve dispatch under ANY hit assignment — the counters are a cost
+// hint, not a correctness input.
+func scrambleHits(rng *rand.Rand, e *Engine, ni int32) {
+	for bi := e.nodes.at(ni).first; bi != none; bi = e.branches.at(bi).next {
+		b := e.branches.at(bi)
 		b.hits = rng.Uint64() % 1000
 		keys := make([]uint32, 0, len(b.kids))
 		for v := range b.kids {
@@ -185,7 +214,7 @@ func scrambleHits(rng *rand.Rand, n *node) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, v := range keys {
-			scrambleHits(rng, b.kids[v])
+			scrambleHits(rng, e, b.kids[v])
 		}
 	}
 }
@@ -218,7 +247,7 @@ func TestEnginePropertyReorder(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			e.Demux(randomPacket(rng, filters))
 		}
-		scrambleHits(rng, e.root)
+		scrambleHits(rng, e, 0)
 
 		// The walk must never cost more after Reorder: pruned branches pay
 		// one bound test instead of a full trie step, examined branches pay
@@ -326,5 +355,84 @@ func TestEnginePropertyInsertDeleteInsert(t *testing.T) {
 			filters = append(filters, f)
 		}
 		checkAgainstOracle(t, e, rng, filters, round)
+	}
+}
+
+// TestEngineChurnReusesNodes drives many rounds of Insert/Remove churn
+// over a standing population: pruned node and branch slots go onto free
+// lists and are reused, so the arenas stay at the high-water mark of the
+// live trie instead of growing with every install, and dispatch stays
+// oracle-exact throughout.
+func TestEngineChurnReusesNodes(t *testing.T) {
+	rounds := 2000
+	if testing.Short() {
+		rounds = 300
+	}
+	rng := rand.New(rand.NewSource(0xc4a7))
+	e := NewEngine()
+	var ids []FilterID
+	var filters []*Filter
+	insert := func() {
+		f := randomFilter(rng)
+		if id, err := e.Insert(f); err == nil {
+			ids = append(ids, id)
+			filters = append(filters, f)
+		}
+	}
+	for len(ids) < 24 {
+		insert()
+	}
+	for round := 0; round < rounds; round++ {
+		k := rng.Intn(len(ids))
+		if err := e.Remove(ids[k]); err != nil {
+			t.Fatalf("round %d: remove: %v", round, err)
+		}
+		ids = append(ids[:k], ids[k+1:]...)
+		filters = append(filters[:k], filters[k+1:]...)
+		for len(ids) < 24 {
+			insert()
+		}
+		if round%50 == 0 {
+			checkAgainstOracle(t, e, rng, filters, round)
+		}
+	}
+	checkAgainstOracle(t, e, rng, filters, rounds)
+	// 24 filters of at most 5 atoms need at most 1+24*5 nodes and as
+	// many branches; without reuse the churn would have pushed thousands.
+	const bound = 1 + 24*5
+	if n, b := e.nodes.len(), e.branches.len(); n > bound || b > bound {
+		t.Fatalf("arenas grew under churn: %d node and %d branch slots, bound %d", n, b, bound)
+	}
+}
+
+// TestEngineCopiesAtoms: the engine copies a filter's atoms at install,
+// so a caller reusing or mutating its Filter afterwards changes neither
+// the trie walk nor the linear scan.
+func TestEngineCopiesAtoms(t *testing.T) {
+	e := NewEngine()
+	f := udpPortFilter(7000)
+	id, err := e.Insert(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkt := mkUDPPacket(0x0800, 17, 7000)
+	other := mkUDPPacket(0x0800, 17, 9000)
+	for i := range f.Atoms {
+		f.Atoms[i].Value ^= 0xffff // the caller rewrites the filter in place
+	}
+	f.Atoms = append(f.Atoms[:1], Atom{Offset: 0, Size: 1, Value: 0x77})
+	for _, demux := range []func([]byte) (FilterID, sim.Time, bool){e.Demux, e.DemuxLinear} {
+		if got, _, ok := demux(pkt); !ok || got != id {
+			t.Fatalf("after mutation: demux(port 7000) = %v,%v want %v", got, ok, id)
+		}
+		if got, _, ok := demux(other); ok {
+			t.Fatalf("after mutation: demux(port 9000) matched %v", got)
+		}
+	}
+	if err := e.Remove(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := e.Demux(pkt); ok || e.Depth() != 0 {
+		t.Fatalf("remove after mutation left the trie populated (depth %d)", e.Depth())
 	}
 }

@@ -24,27 +24,35 @@ const prunedStepCycles = sim.Time(1)
 // Remove clear the reordered flag, so a re-Reorder after churn re-enables
 // pruning with fresh bounds. Hit counters keep accumulating either way.
 func (e *Engine) Reorder() {
-	annotate(e.root)
+	e.annotate(0)
 	e.reordered = true
 }
 
-// annotate computes per-branch maxDepth bottom-up and sorts each branch
-// list by hits, returning the deepest terminal depth relative to n.
-func annotate(n *node) int {
-	deepest := 0 // n itself: a terminal here is at relative depth 0
-	for _, b := range n.branches {
+// annotate computes per-branch maxDepth bottom-up and sorts node ni's
+// branch list by hits, returning the deepest terminal depth relative to ni.
+func (e *Engine) annotate(ni int32) int {
+	deepest := 0 // ni itself: a terminal here is at relative depth 0
+	var order []int32
+	n := e.nodes.at(ni)
+	for bi := n.first; bi != none; bi = e.branches.at(bi).next {
+		b := e.branches.at(bi)
 		b.maxDepth = 0
 		for _, kid := range b.kids {
-			if d := 1 + annotate(kid); d > b.maxDepth {
+			if d := 1 + e.annotate(kid); d > b.maxDepth {
 				b.maxDepth = d
 			}
 		}
-		if b.maxDepth > deepest {
-			deepest = b.maxDepth
-		}
+		deepest = max(deepest, b.maxDepth)
+		order = append(order, bi)
 	}
-	sort.SliceStable(n.branches, func(i, j int) bool {
-		return n.branches[i].hits > n.branches[j].hits
+	sort.SliceStable(order, func(i, j int) bool {
+		return e.branches.at(order[i]).hits > e.branches.at(order[j]).hits
 	})
+	link := &n.first
+	for _, bi := range order {
+		*link = bi
+		link = &e.branches.at(bi).next
+	}
+	*link = none
 	return deepest
 }

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -264,6 +265,77 @@ func TestCorruptionDetectedByASHFastPath(t *testing.T) {
 	})
 	if srv.BadChecksum == 0 {
 		t.Fatal("handler did not detect corruption")
+	}
+}
+
+// TestCorruptedPureACKDroppedByASHFastPath: a pure ACK whose
+// acknowledgment number the wire changed (its frame check refreshed, so
+// the board accepts it) must fail the handler's header checksum. The fast
+// path counts it in BadChecksum and drops it: sndUna must not move past
+// data the receiver never acknowledged.
+func TestCorruptedPureACKDroppedByASHFastPath(t *testing.T) {
+	w := newWorld()
+	payload := make([]byte, 30_000)
+	rand.New(rand.NewSource(9)).Read(payload)
+	var cli *Conn
+	var unaBefore uint32
+	corrupted, pending := 0, false
+	check := func() {
+		if pending && cli.sndUna != unaBefore {
+			t.Errorf("corrupted ACK moved sndUna from %d to %d", unaBefore-cli.iss, cli.sndUna-cli.iss)
+		}
+		pending = false
+	}
+	w.sw.Inject = func(pkt *netdev.PacketBuf) bool {
+		check() // the previous frame, if it was the corrupted ACK, is handled
+		data := pkt.Bytes()
+		if corrupted > 0 || cli == nil || pkt.Src != w.a2.Addr() || len(data) != ip.HeaderLen+HeaderLen {
+			return true
+		}
+		ackOff := ip.HeaderLen + 8
+		if ack := binary.BigEndian.Uint32(data[ackOff:]); !seqLT(ack, cli.sndNxt) {
+			return true
+		}
+		// Acknowledge everything sent, though the peer has not.
+		binary.BigEndian.PutUint32(data[ackOff:], cli.sndNxt)
+		pkt.FCS = netdev.FrameCheck(data)
+		corrupted++
+		unaBefore, pending = cli.sndUna, true
+		return true
+	}
+	w.k2.Spawn("server", func(p *aegis.Process) {
+		conn, err := Accept(w.stackFor(p, w.a2, 7, w.ip2), w.cfg(ModeASH, 2), 80)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		buf := p.AS.MustAlloc(len(payload), "rxdata")
+		if err := conn.ReadFull(buf.Base, len(payload)); err != nil {
+			t.Errorf("server read: %v", err)
+		} else if string(w.k2.Bytes(buf.Base, len(payload))) != string(payload) {
+			t.Error("stream corrupted")
+		}
+		_ = conn.Close()
+	})
+	w.k1.Spawn("client", func(p *aegis.Process) {
+		conn, err := Connect(w.stackFor(p, w.a1, 7, w.ip1), w.cfg(ModeASH, 1), 1234, w.ip2, 80)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		cli = conn
+		if err := conn.WriteBytes(payload); err != nil {
+			t.Errorf("client write: %v", err)
+		}
+		_ = conn.Close()
+	})
+	w.eng.Run()
+	check()
+	if corrupted == 0 {
+		t.Fatal("no pure ACK with data outstanding to corrupt")
+	}
+	if cli.BadChecksum == 0 {
+		t.Fatal("corrupted pure ACK not counted in BadChecksum")
 	}
 }
 

@@ -183,11 +183,11 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 		return f.abort(isData)
 	}
 
+	var acc uint32 // ones-complement sum of the payload
 	if isData {
 		if c.hrTail-c.hrHead+plen > c.Cfg.Window {
 			return f.abort(isData) // no ring space: library path decides
 		}
-		var acc uint32
 		w := c.Cfg.Window
 		aligned := plen &^ 3
 		if striped {
@@ -236,25 +236,31 @@ func (f *fastPath) handle(ctx *core.Ctx) aegis.Disposition {
 				acc = cksum32Add(acc, uint32(b))
 			}
 		}
-
-		if c.Cfg.Checksum {
-			// Fold in pseudo-header and TCP header; verify.
+	}
+	if c.Cfg.Checksum {
+		// Fold in pseudo-header and TCP header; verify. A segment without
+		// payload is checked too: a pure ACK whose acknowledgment number
+		// the wire corrupted must not advance sndUna past data the peer
+		// never received.
+		if isData {
 			ctx.Straightline(24, 2)
-			want := ip.PseudoCksum(d(srcIP(data, ipOff)), d(dstIP(data, ipOff)), ip.ProtoTCP, totalLen-ihl)
-			want += h.headerAccum() + uint32(h.Checksum)
-			if link.FoldCksum(cksum32Add(want, acc)) != 0xffff {
-				c.BadChecksum++
-				// Drop silently: state untouched (hrTail uncommitted), the
-				// peer retransmits.
-				return aegis.DispConsumed
-			}
+		} else {
+			ctx.Straightline(30, 4)
 		}
+		want := ip.PseudoCksum(d(srcIP(data, ipOff)), d(dstIP(data, ipOff)), ip.ProtoTCP, totalLen-ihl)
+		want += h.headerAccum() + uint32(h.Checksum)
+		if link.FoldCksum(cksum32Add(want, acc)) != 0xffff {
+			c.BadChecksum++
+			// Drop silently: state untouched (hrTail uncommitted), the
+			// peer retransmits.
+			return aegis.DispConsumed
+		}
+	}
+	if isData {
 		// Commit.
 		c.hrTail += plen
 		c.rcvNxt += uint32(plen)
 		c.unacked += plen
-	} else if c.Cfg.Checksum {
-		ctx.Straightline(30, 4) // verify header-only checksum
 	}
 
 	// Protocol bookkeeping beyond the parse: TCB update, receive-ring
