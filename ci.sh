@@ -94,57 +94,31 @@ if ! cmp -s ashbench_output.txt "$tracedir/serial.txt"; then
     exit 1
 fi
 
-# The scale experiment gets its own gate: its cells build worlds with up
-# to 512 hosts, the structure most likely to surface nondeterminism in
-# the runner, so a regression must be attributable to it directly.
-echo "== scale fan-in determinism (byte-identical stdout)"
-"$tracedir/ashbench" -experiment scale -parallel 1 >"$tracedir/scale-serial.txt" 2>/dev/null
-"$tracedir/ashbench" -experiment scale >"$tracedir/scale-parallel.txt" 2>/dev/null
-if ! cmp -s "$tracedir/scale-serial.txt" "$tracedir/scale-parallel.txt"; then
-    echo "scale output differs between -parallel=1 and the default pool"
-    diff "$tracedir/scale-serial.txt" "$tracedir/scale-parallel.txt" | head -40
-    exit 1
-fi
-
-# The overload experiment gets its own gate: its cells mix adversarial
-# trace replay, the fault plane, tenant quotas, and client backoff — the
-# densest interleaving of event sources in the suite — so byte-identity
-# under parallelism must be attributable to it directly.
-echo "== overload control determinism (byte-identical stdout)"
-"$tracedir/ashbench" -experiment overload -parallel 1 >"$tracedir/overload-serial.txt" 2>/dev/null
-"$tracedir/ashbench" -experiment overload >"$tracedir/overload-parallel.txt" 2>/dev/null
-if ! cmp -s "$tracedir/overload-serial.txt" "$tracedir/overload-parallel.txt"; then
-    echo "overload output differs between -parallel=1 and the default pool"
-    diff "$tracedir/overload-serial.txt" "$tracedir/overload-parallel.txt" | head -40
-    exit 1
-fi
-
-# The megascale experiment gets its own gate, in quick mode (the full
-# grid builds a million-endpoint world): 64k kernel-free flyweight
-# endpoints against one full server host, with per-endpoint open-loop
-# schedules and retry timers — the largest event population in the suite
-# — must render byte-identical stdout at any parallelism.
-echo "== megascale flyweight determinism (byte-identical stdout)"
-"$tracedir/ashbench" -experiment megascale -quick -parallel 1 >"$tracedir/mega-serial.txt" 2>/dev/null
-"$tracedir/ashbench" -experiment megascale -quick >"$tracedir/mega-parallel.txt" 2>/dev/null
-if ! cmp -s "$tracedir/mega-serial.txt" "$tracedir/mega-parallel.txt"; then
-    echo "megascale output differs between -parallel=1 and the default pool"
-    diff "$tracedir/mega-serial.txt" "$tracedir/mega-parallel.txt" | head -40
-    exit 1
-fi
-
-# The reopt experiment gets its own gate: its cells hot-swap handler code
-# mid-run (System.Reoptimize), re-enter the SFI compile cache under
-# profile-distinct keys, and sweep the three-way differential harness —
-# any cross-cell state in that machinery shows up as a byte diff here.
-echo "== reopt DCG-loop determinism (byte-identical stdout)"
-"$tracedir/ashbench" -experiment reopt -parallel 1 >"$tracedir/reopt-serial.txt" 2>/dev/null
-"$tracedir/ashbench" -experiment reopt >"$tracedir/reopt-parallel.txt" 2>/dev/null
-if ! cmp -s "$tracedir/reopt-serial.txt" "$tracedir/reopt-parallel.txt"; then
-    echo "reopt output differs between -parallel=1 and the default pool"
-    diff "$tracedir/reopt-serial.txt" "$tracedir/reopt-parallel.txt" | head -40
-    exit 1
-fi
+# Per-experiment determinism gates: each experiment below reruns serially
+# and at the default pool, so a byte diff is attributable to it directly.
+#   scale            worlds with up to 512 hosts, the structure most likely
+#                    to surface nondeterminism in the runner;
+#   overload         adversarial trace replay, the fault plane, tenant
+#                    quotas and client backoff: the densest interleaving of
+#                    event sources in the suite;
+#   megascale -quick 64k flyweight endpoints with open-loop schedules and
+#                    retry timers, the largest event population (quick mode:
+#                    the full grid builds a million-endpoint world);
+#   reopt            mid-run handler hot-swaps, profile-keyed SFI compile
+#                    cache entries and the three-way differential harness.
+for gate in "scale" "overload" "megascale -quick" "reopt"; do
+    # shellcheck disable=SC2086 # split "experiment [flags]" on purpose
+    set -- $gate
+    name=$1
+    echo "== $name determinism (byte-identical stdout)"
+    "$tracedir/ashbench" -experiment "$@" -parallel 1 >"$tracedir/$name-serial.txt" 2>/dev/null
+    "$tracedir/ashbench" -experiment "$@" >"$tracedir/$name-parallel.txt" 2>/dev/null
+    if ! cmp -s "$tracedir/$name-serial.txt" "$tracedir/$name-parallel.txt"; then
+        echo "$name output differs between -parallel=1 and the default pool"
+        diff "$tracedir/$name-serial.txt" "$tracedir/$name-parallel.txt" | head -40
+        exit 1
+    fi
+done
 
 # Three-way differential suite by name under the race detector: the
 # registry sweep (every crl handler x both budget modes x measured +

@@ -162,6 +162,60 @@ func (k *Kernel) mcDoorbell(a any) {
 	k.unpin(mc)
 }
 
+// shed is the ring high-watermark admission check both drivers run after
+// demux: once r stands at its watermark the arrival is refused before it
+// costs a buffer, a DMA, or any handler cycles, and the refusal is
+// counted against the binding (bound) and the interface (iface).
+func (k *Kernel) shed(r *Ring, bound, iface *uint64) bool {
+	if hw := r.HighWater; hw <= 0 || r.Len() < hw {
+		return false
+	}
+	*bound++
+	*iface++
+	if o := k.Obs; o.Enabled() {
+		o.Inc("aegis/" + k.Name + "/ring_shed")
+	}
+	return true
+}
+
+// rxDispatch is the receive-path tail both drivers share: the downloaded
+// handler, then the upcall, then ring delivery. The first stage that
+// consumes the message commits its sends and returns the receive buffer
+// to free; a message no stage consumes keeps its buffer until the owner
+// frees it.
+func (k *Kernel) rxDispatch(mc *MsgCtx, h MsgHandler, u *Upcall, free *bufFIFO) {
+	if h != nil {
+		s0 := mc.When()
+		mc.Charge(sim.Time(k.Prof.ASHDispatch))
+		k.Obs.Span(k.Name, "device", "kernel", "ash dispatch", s0, mc.When()-s0)
+		if h.HandleMsg(mc) == DispConsumed {
+			mc.commitSends()
+			free.push(mc.Entry.BufIndex)
+			return
+		}
+		mc.abortSends()
+	}
+	if u != nil {
+		if u.dispatch(mc) == DispConsumed {
+			mc.commitSends()
+			free.push(mc.Entry.BufIndex)
+			return
+		}
+		mc.abortSends()
+	}
+	k.ringDeliver(mc)
+}
+
+// ringDeliver pushes a ring notification at path-completion time and
+// wakes a blocked owner (charging the wake/schedule path).
+func (k *Kernel) ringDeliver(mc *MsgCtx) {
+	s0 := mc.When()
+	mc.Charge(sim.Time(k.Prof.RingUpdateCycles))
+	k.Obs.Span(k.Name, "device", "kernel", "ring deliver", s0, mc.When()-s0)
+	mc.pins++
+	k.Eng.ScheduleArgAt(mc.When(), k.ringPushFn, mc)
+}
+
 // Charge adds handler cycles.
 func (mc *MsgCtx) Charge(c sim.Time) { mc.cost += c }
 
@@ -426,15 +480,7 @@ func (a *AN2If) receive(pkt *netdev.PacketBuf) {
 		a.InjectedPoolDrops++
 		return
 	}
-	if hw := b.Ring.HighWater; hw > 0 && b.Ring.Len() >= hw {
-		// Shed at demux: the circuit's ring stands at its high watermark,
-		// so admission control refuses the arrival before it costs a
-		// buffer, a DMA, or any handler cycles.
-		b.Shed++
-		a.LoadSheds++
-		if o := a.K.Obs; o.Enabled() {
-			o.Inc("aegis/" + a.K.Name + "/ring_shed")
-		}
+	if a.K.shed(b.Ring, &b.Shed, &a.LoadSheds) {
 		return
 	}
 	if b.freeBufs.len() == 0 {
@@ -491,37 +537,7 @@ func (a *AN2If) receive(pkt *netdev.PacketBuf) {
 
 	// "ASHs are invoked directly from the AN2 device driver, just after it
 	// performs a software cache flush of the message location."
-	if b.Handler != nil {
-		s0 := mc.When()
-		mc.Charge(sim.Time(prof.ASHDispatch))
-		o.Span(a.K.Name, "device", "kernel", "ash dispatch", s0, mc.When()-s0)
-		if b.Handler.HandleMsg(mc) == DispConsumed {
-			mc.commitSends()
-			b.FreeBuf(bufIdx)
-			return
-		}
-		mc.abortSends()
-	}
-	if b.Upcall != nil {
-		if b.Upcall.dispatch(mc) == DispConsumed {
-			mc.commitSends()
-			b.FreeBuf(bufIdx)
-			return
-		}
-		mc.abortSends()
-	}
-	a.deliverToUser(b, mc)
-}
-
-// deliverToUser pushes a ring notification at path-completion time and
-// wakes a blocked owner (charging the wake/schedule path).
-func (a *AN2If) deliverToUser(b *VCBinding, mc *MsgCtx) {
-	prof := a.K.Prof
-	s0 := mc.When()
-	mc.Charge(sim.Time(prof.RingUpdateCycles))
-	a.K.Obs.Span(a.K.Name, "device", "kernel", "ring deliver", s0, mc.When()-s0)
-	mc.pins++
-	a.K.Eng.ScheduleArgAt(mc.When(), a.K.ringPushFn, mc)
+	a.K.rxDispatch(mc, b.Handler, b.Upcall, &b.freeBufs)
 }
 
 // Send transmits from process p over vc: the user-level transmission path

@@ -223,16 +223,9 @@ func (e *EthernetIf) receive(pkt *netdev.PacketBuf) {
 		e.InjectedPoolDrops++
 		return
 	}
-	if hw := b.Ring.HighWater; hw > 0 && b.Ring.Len() >= hw {
-		// Shed at demux: the binding's ring stands at its high watermark,
-		// so admission control refuses the frame before it costs a pool
-		// buffer, a DMA, or any handler cycles. The sender sees a loss
-		// and backs off; the frames already queued stay serviceable.
-		b.Shed++
-		e.LoadSheds++
-		if o := e.K.Obs; o.Enabled() {
-			o.Inc("aegis/" + e.K.Name + "/ring_shed")
-		}
+	if e.K.shed(b.Ring, &b.Shed, &e.LoadSheds) {
+		// The sender sees a loss and backs off; the frames already
+		// queued stay serviceable.
 		return
 	}
 	if e.freeBufs.len() == 0 {
@@ -262,30 +255,7 @@ func (e *EthernetIf) receive(pkt *netdev.PacketBuf) {
 		o.Inc("aegis/" + e.K.Name + "/interrupts")
 	}
 
-	if b.Handler != nil {
-		s0 := mc.When()
-		mc.Charge(sim.Time(prof.ASHDispatch))
-		o.Span(e.K.Name, "device", "kernel", "ash dispatch", s0, mc.When()-s0)
-		if b.Handler.HandleMsg(mc) == DispConsumed {
-			mc.commitSends()
-			e.freeBufs.push(bufIdx)
-			return
-		}
-		mc.abortSends()
-	}
-	if b.Upcall != nil {
-		if b.Upcall.dispatch(mc) == DispConsumed {
-			mc.commitSends()
-			e.freeBufs.push(bufIdx)
-			return
-		}
-		mc.abortSends()
-	}
-	s0 := mc.When()
-	mc.Charge(sim.Time(prof.RingUpdateCycles))
-	o.Span(e.K.Name, "device", "kernel", "ring deliver", s0, mc.When()-s0)
-	mc.pins++
-	e.K.Eng.ScheduleArgAt(mc.When(), e.K.ringPushFn, mc)
+	e.K.rxDispatch(mc, b.Handler, b.Upcall, &e.freeBufs)
 }
 
 // FreeBuf returns a device buffer to the pool. Device buffers are scarce:

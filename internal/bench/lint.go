@@ -9,21 +9,17 @@ import (
 	"ashs/internal/vcode/analysis"
 )
 
-// RunLint runs the static-analysis lint pass over the CRL handler
-// library plus a deliberately sloppy demonstration handler, and renders
-// a report. Handlers run on the paper's per-instruction-costed fast
-// path, so dead work and unbounded loops are worth flagging at
-// download time even when they are safe.
-func RunLint(cfg *Config) string {
-	return runCells(cfg, lintCells())[0].(string)
-}
-
 // lintCells wraps the lint pass as one cell (pure static analysis, no
 // testbed).
 func lintCells() []Cell {
 	return []Cell{{"lint", func(cfg *Config) any { return runLint() }}}
 }
 
+// runLint runs the static-analysis lint pass over the CRL handler
+// library plus a deliberately sloppy demonstration handler, and renders
+// a report. Handlers run on the paper's per-instruction-costed fast
+// path, so dead work and unbounded loops are worth flagging at
+// download time even when they are safe.
 func runLint() string {
 	var b strings.Builder
 	b.WriteString("Handler lint: static-analysis findings over downloadable handler code\n")

@@ -1,24 +1,17 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"ashs/internal/aegis"
-	"ashs/internal/core"
 	"ashs/internal/dpf"
 	"ashs/internal/flyweight"
-	"ashs/internal/mach"
-	"ashs/internal/netdev"
 	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/nfs"
 	"ashs/internal/proto/retry"
 	"ashs/internal/proto/tcp"
-	"ashs/internal/proto/udp"
-	"ashs/internal/sim"
 	"ashs/internal/workload"
 )
 
@@ -27,9 +20,9 @@ import (
 // to 10^6 clients. Full client hosts cap the sweep at a few hundred (each
 // pins a kernel arena and receive pool), so the clients here are
 // internal/flyweight endpoints — wire-exact traffic generators with no
-// kernel behind them — while the measured side stays byte-for-byte the
-// scale experiment's server: same interrupt path, same DPF trie, same
-// striping DMA and ASH dispatch.
+// kernel behind them, attached through the fan-in harness's addFleet —
+// while the measured side is the harness server scale measures: same
+// interrupt path, same DPF trie, same striping DMA and ASH dispatch.
 //
 // Three workloads sweep N:
 //
@@ -76,9 +69,6 @@ func megascaleNs(cfg *Config, wl string) []int {
 
 const (
 	megaSeed      = 61096 // fixed run seed (trace + retry jitter)
-	megaPayload   = 64    // echo message size (UDP and TCP)
-	megaReadBytes = 1024  // NFS read size
-	megaFileBytes = 4096  // NFS served file
 	megaWaves     = 2     // synchronized incast waves per cell
 	megaQuietUs   = 50_000
 	megaWaveGapUs = 500_000
@@ -97,11 +87,9 @@ const (
 	// wave overruns it and the shed-then-retry path must recover.
 	megaNFSHighWater = 96
 
-	megaServerMem    = 48 << 20
 	megaTCPServerMem = 512 << 20 // 4096 live connections of window state
 	megaUDPPool      = 64        // echo ASH consumes in the interrupt path
 	megaNFSPool      = 256       // ring holds frames up to the high water
-	megaTCPPoolSlack = 64
 )
 
 // megaEvents sizes the steady-state trace.
@@ -161,7 +149,7 @@ type MegaResult struct {
 	TrieDepth int
 	Msgs      uint64 // completed client operations (both phases)
 	// CycPerMsg / DemuxPerMsg are the server's kernel receive cost per
-	// accepted frame, exactly as the scale experiment computes them.
+	// accepted frame (faninWorld.rxCost, as for scale).
 	CycPerMsg   float64
 	DemuxPerMsg float64
 	// BytesPerEp is the static flyweight footprint per endpoint.
@@ -179,91 +167,25 @@ type MegaResult struct {
 	Spread float64
 }
 
-// megaWorld is the server side of one cell: a full aegis host, exactly as
-// the scale experiment builds one.
-type megaWorld struct {
-	eng  *sim.Engine
-	prof *mach.Profile
-	sw   *netdev.Switch
-	k    *aegis.Kernel
-	e    *aegis.EthernetIf
-	ip   ip.Addr
-	sys  *core.System
-}
-
-// newMegaWorld builds the server first so its port (and therefore its
-// address) precedes the fleet's.
-func newMegaWorld(mem, pool int) *megaWorld {
-	eng := sim.NewEngine()
-	prof := mach.DS5000_240()
-	sw := netdev.NewSwitch(eng, prof, netdev.EthernetConfig())
-	k := aegis.NewKernelMem("srv", eng, prof, mem)
-	e := aegis.NewEthernetPool(k, sw, pool)
-	return &megaWorld{eng: eng, prof: prof, sw: sw, k: k, e: e,
-		ip: ip.HostAddr(e.Addr()), sys: core.NewSystem(k)}
-}
-
-// fleet builds the flyweight side over the world's switch.
-func (w *megaWorld) fleet(kind flyweight.Kind, n int, port uint16, pol retry.Policy) *flyweight.Fleet {
-	return flyweight.NewFleet(flyweight.Config{
-		Eng: w.eng, Prof: w.prof, Sw: w.sw,
-		Kind: kind, N: n,
-		ServerIP: w.ip, ServerLink: w.e.Addr(), ServerPort: port,
-		ClientPort: scaleClientPort,
-		Payload:    megaPayload,
-		ReadBytes:  megaReadBytes, FileBytes: megaFileBytes, Handle: uint32(nfs.RootHandle) + 1,
-		Window: 8192, Checksum: true,
-		Retry: pol, Seed: megaSeed,
-	})
-}
-
-// stack builds an IP stack for a server process, optionally arming the
-// binding's ring high-watermark (the overload-control admission plane).
-func (w *megaWorld) stack(p *aegis.Process, f *dpf.Filter, res ip.StaticResolver, highWater int) *ip.Stack {
-	lep, err := link.BindEthernet(w.e, p, f)
-	if err != nil {
-		panic(err)
-	}
-	if highWater > 0 {
-		lep.Binding().Ring.HighWater = highWater
-	}
-	st := ip.NewStack(lep, w.ip, res)
-	st.LinkHdrLen = ether.HeaderLen
-	myMAC := ether.PortMAC(w.e.Addr())
-	st.PrependLink = func(dst link.Addr, b []byte) []byte {
-		eh := ether.Header{Dst: ether.PortMAC(dst.Port), Src: myMAC, Type: ether.TypeIPv4}
-		return eh.Marshal(b)
-	}
-	return st
-}
-
-// resolver maps the fleet's addresses (the server replies through its
-// stack for tcp-pp and nfs-read; udp-echo answers raw from the ASH).
-func (w *megaWorld) resolver(flt *flyweight.Fleet) ip.StaticResolver {
-	res := ip.StaticResolver{w.ip: link.Addr{Port: w.e.Addr()}}
-	for i := 0; i < flt.Len(); i++ {
-		res[flt.Addr(i)] = link.Addr{Port: flt.Link(i)}
-	}
-	return res
-}
-
-// collect folds the server counters and fleet histograms into the result.
-func (w *megaWorld) collect(wl string, n int, flt *flyweight.Fleet) MegaResult {
+// driveMega replays a Poisson steady-state trace (events arrivals of size
+// bytes, gapUs apart on average) and then the incast waves through flt,
+// drains the world, and folds the server counters and fleet histograms
+// into the result.
+func driveMega(w *faninWorld, flt *flyweight.Fleet, wl string, n, events int, gapUs float64, size int) MegaResult {
+	tr := workload.Poisson(megaSeed, workload.Spec{
+		Clients: n, Events: events, MeanGapUs: gapUs, Size: size})
+	flt.Run(tr, megaWaves, megaWaveClients(wl), megaQuietUs, megaWaveGapUs)
+	w.eng.Run()
+	checkPoolDrained(w.eng, w.sw.Pool)
 	r := MegaResult{
 		Workload: wl, N: n,
-		Filters: w.e.Filters(), TrieDepth: w.e.TrieDepth(),
+		Filters: w.srv.e.Filters(), TrieDepth: w.srv.e.TrieDepth(),
 		Msgs:       flt.Completed(),
 		BytesPerEp: flt.StaticBytesPerEndpoint(),
 		Retries:    flt.Retries, Failures: flt.Failures,
-		Sheds: w.e.LoadSheds,
+		Sheds: w.srv.e.LoadSheds,
 	}
-	if rx := w.e.RxFrames; rx > 0 {
-		kernel := sim.Time(w.k.Interrupts)*sim.Time(w.prof.InterruptCycles) +
-			sim.Time(rx)*sim.Time(w.prof.DeviceRxService) +
-			w.e.DemuxCycles
-		r.CycPerMsg = float64(kernel) / float64(rx)
-		r.DemuxPerMsg = float64(w.e.DemuxCycles) / float64(rx)
-	}
+	r.CycPerMsg, r.DemuxPerMsg = w.rxCost()
 	r.P99Us = w.prof.Us(flt.Hist.Quantile(0.99))
 	r.IncastP99Us = w.prof.Us(flt.IncastHist.Quantile(0.99))
 	return r
@@ -296,45 +218,16 @@ func megaSourceFilter(src ip.Addr) *dpf.Filter {
 
 // runMegaUDP: one shared echo ASH behind N source filters. The handler
 // is shared — a per-endpoint closure would put N copies of everything a
-// closure pins on the heap — so it derives the reply's destination from
-// the frame's provenance (the ring entry's source port) instead of
-// captured state.
+// closure pins on the heap — which works because echoUDP derives the
+// reply's destination from the frame's provenance, not captured state.
 func runMegaUDP(n, events int) MegaResult {
-	w := newMegaWorld(megaServerMem, megaUDPPool)
-	flt := w.fleet(flyweight.UDPEcho, n, scaleEchoPort, megaRetry("udp-echo"))
+	w := newFaninWorld(faninServerMem, megaUDPPool)
+	flt := w.addFleet(flyweight.UDPEcho, n, faninEchoPort, megaRetry("udp-echo"))
 
-	w.k.Spawn("echo", func(p *aegis.Process) {
-		srvMAC := ether.PortMAC(w.e.Addr())
-		ash := w.sys.NewFuncASH(p, "mega-echo", true, func(ctx *core.Ctx) aegis.Disposition {
-			const off = ether.HeaderLen + ip.HeaderLen + udp.HeaderLen
-			nb := ctx.Entry().Len
-			if nb < off+8 {
-				return aegis.DispToUser
-			}
-			// Header validation (same modeled cost as the scale ASH).
-			ctx.Straightline(48, 12)
-			src := ctx.Entry().Src
-			pl := nb - off
-			eh := ether.Header{Dst: ether.PortMAC(src), Src: srvMAC, Type: ether.TypeIPv4}
-			frame := eh.Marshal(nil)
-			ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + pl),
-				TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: w.ip, Dst: ip.HostAddr(src)}
-			frame = ih.Marshal(frame)
-			frame = binary.BigEndian.AppendUint16(frame, scaleEchoPort)
-			frame = binary.BigEndian.AppendUint16(frame, scaleClientPort)
-			frame = binary.BigEndian.AppendUint16(frame, uint16(udp.HeaderLen+pl))
-			frame = binary.BigEndian.AppendUint16(frame, 0)
-			raw := ctx.RawData()
-			for j := 0; j < pl; j++ {
-				frame = append(frame, raw[aegis.StripedIndex(off+j)])
-			}
-			// Byte-wise echo copy out of the striped buffer.
-			ctx.Straightline(2*pl, pl)
-			ctx.Send(src, 0, frame)
-			return aegis.DispConsumed
-		})
+	w.srv.k.Spawn("echo", func(p *aegis.Process) {
+		ash := w.sys.NewFuncASH(p, "mega-echo", true, w.echoUDP)
 		for i := 0; i < n; i++ {
-			b, err := w.e.BindFilter(p, megaSourceFilter(flt.Addr(i)))
+			b, err := w.srv.e.BindFilter(p, megaSourceFilter(flt.Addr(i)))
 			if err != nil {
 				panic(err)
 			}
@@ -344,92 +237,35 @@ func runMegaUDP(n, events int) MegaResult {
 		}
 	})
 
-	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: megaUDPGapUs, Size: megaPayload})
-	flt.Run(tr, megaWaves, megaWaveClients("udp-echo"), megaQuietUs, megaWaveGapUs)
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
-	return w.collect("udp-echo", n, flt)
+	return driveMega(w, flt, "udp-echo", n, events, megaUDPGapUs, faninPayload)
 }
 
-// runMegaTCP: the scale experiment's fan-in accept path (per-client
-// listen filter, 6-atom connection filter, AcceptHandoff, shared
-// ConnTable), served to flyweight FlyConn clients. The server echoes
-// until the client's FIN (flyweights close first), so connection
-// lifetimes follow the trace without the server knowing the schedule.
+// runMegaTCP: the harness's fan-in accept path served to flyweight
+// FlyConn clients. The server echoes until the client's FIN (flyweights
+// close first), so connection lifetimes follow the trace without the
+// server knowing the schedule.
 func runMegaTCP(n, events int) MegaResult {
-	w := newMegaWorld(megaTCPServerMem, 2*n+megaTCPPoolSlack)
-	flt := w.fleet(flyweight.TCPPingPong, n, scaleTCPPort, megaRetry("tcp-pp"))
-	res := w.resolver(flt)
+	w := newFaninWorld(megaTCPServerMem, faninPool(n))
+	flt := w.addFleet(flyweight.TCPPingPong, n, faninTCPPort, megaRetry("tcp-pp"))
+	w.resolveFleet(flt)
 
-	srvCfg := tcp.DefaultConfig()
-	srvCfg.MSS = EthernetTCPMSS
-	srvCfg.Polling = false
-	srvCfg.Mode = tcp.ModeASH
-	srvCfg.Sys = w.sys
-
-	tbl := tcp.NewConnTable(n / 4)
-	peak := 0
-	var peakLoads []int
+	cs := &faninConns{tbl: tcp.NewConnTable(n / 4)}
 	for i := 0; i < n; i++ {
-		i := i
-		w.k.Spawn(fmt.Sprintf("srv-%06d", i), func(p *aegis.Process) {
-			lst := w.stack(p, scalePeerFilter(w.ip, ip.ProtoTCP, scaleTCPPort, flt.Addr(i)), res, 0)
-			d, ok, err := lst.RecvUntil(false, 0)
-			if err != nil || !ok {
-				panic(fmt.Sprintf("megascale: listener %d: ok=%v err=%v", i, ok, err))
-			}
-			syn, isSyn := tcp.ParseSyn(d)
-			lst.Release(d)
-			if !isSyn {
-				panic(fmt.Sprintf("megascale: listener %d got non-SYN", i))
-			}
-			st := w.stack(p,
-				scaleConnFilter(w.ip, ip.ProtoTCP, scaleTCPPort, syn.RemoteIP, syn.RemotePort), res, 0)
-			conn, err := tcp.AcceptHandoff(st, srvCfg, scaleTCPPort, syn)
-			if err != nil {
-				panic(err)
-			}
-			if err := tbl.Bind(conn.Tuple(), conn); err != nil {
-				panic(err)
-			}
-			// The engine serializes processes, so the peak snapshot needs
-			// no lock; deterministic because accept order is.
-			if l := tbl.Len(); l > peak {
-				peak, peakLoads = l, tbl.Loads()
-			}
-			buf := p.AS.MustAlloc(megaPayload, "echo")
-			for {
-				if err := conn.ReadFull(buf.Base, megaPayload); err != nil {
-					break // client FIN: the schedule is done
-				}
-				if err := conn.WriteBytes(w.k.Bytes(buf.Base, megaPayload)); err != nil {
-					break
-				}
-			}
-			if !tbl.Remove(conn.Tuple()) {
-				panic("megascale: connection already removed")
-			}
-			_ = conn.Close()
+		w.srv.k.Spawn(fmt.Sprintf("srv-%06d", i), func(p *aegis.Process) {
+			w.acceptEcho(p, cs, flt.Addr(i), -1)
 		})
 	}
 
-	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: megaTCPGapUs, Size: megaPayload})
-	flt.Run(tr, megaWaves, megaWaveClients("tcp-pp"), megaQuietUs, megaWaveGapUs)
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
-
-	r := w.collect("tcp-pp", n, flt)
-	r.Conns = peak
-	if peak > 0 && len(peakLoads) > 0 {
+	r := driveMega(w, flt, "tcp-pp", n, events, megaTCPGapUs, faninPayload)
+	r.Conns = cs.peak
+	if cs.peak > 0 && len(cs.loads) > 0 {
 		max := 0
-		for _, l := range peakLoads {
+		for _, l := range cs.loads {
 			if l > max {
 				max = l
 			}
 		}
-		r.Spread = float64(max) * float64(len(peakLoads)) / float64(peak)
+		r.Spread = float64(max) * float64(len(cs.loads)) / float64(cs.peak)
 	}
 	return r
 }
@@ -438,48 +274,21 @@ func runMegaTCP(n, events int) MegaResult {
 // high-watermark admission plane. The incast waves overrun it; sheds and
 // the fleet's jittered retries are the measurement.
 func runMegaNFS(n, events int) MegaResult {
-	w := newMegaWorld(megaServerMem, megaNFSPool)
-	srv := nfs.NewServer()
-	data := make([]byte, megaFileBytes)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	fh := srv.AddFile("mega", data)
-	flt := w.fleet(flyweight.NFSRead, n, scaleNFSPort, megaRetry("nfs-read"))
-	if uint32(fh) != uint32(nfs.RootHandle)+1 {
+	w := newFaninWorld(faninServerMem, megaNFSPool)
+	flt := w.addFleet(flyweight.NFSRead, n, faninNFSPort, megaRetry("nfs-read"))
+	w.resolveFleet(flt)
+	if fh, _ := w.serveNFS(megaNFSHighWater); uint32(fh) != uint32(nfs.RootHandle)+1 {
 		panic("megascale: unexpected NFS file handle")
 	}
-	res := w.resolver(flt)
 
-	// Serve forever: a retry-born duplicate must not consume a
-	// straggler's slot; the engine drains once the fleet is done.
-	w.k.Spawn("nfsd", func(p *aegis.Process) {
-		st := w.stack(p, scaleListenFilter(w.ip, ip.ProtoUDP, scaleNFSPort), res, megaNFSHighWater)
-		sock := udp.NewSocket(st, scaleNFSPort, udp.Options{})
-		srv.Serve(p, sock, 0)
-	})
-
-	tr := workload.Poisson(megaSeed, workload.Spec{
-		Clients: n, Events: events, MeanGapUs: megaNFSGapUs, Size: megaReadBytes})
-	flt.Run(tr, megaWaves, megaWaveClients("nfs-read"), megaQuietUs, megaWaveGapUs)
-	w.eng.Run()
-	checkPoolDrained(w.eng, w.sw.Pool)
-	return w.collect("nfs-read", n, flt)
+	return driveMega(w, flt, "nfs-read", n, events, megaNFSGapUs, faninReadBytes)
 }
 
 // megascaleCells enumerates the sweep, workload-major like scale.
 func megascaleCells(cfg *Config) []Cell {
-	var cells []Cell
-	for _, wl := range megaWorkloads {
-		for _, n := range megascaleNs(cfg, wl) {
-			wl, n := wl, n
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("megascale/%s/N=%d", wl, n),
-				Run:   func(cc *Config) any { return runMegaCell(wl, n, cc) },
-			})
-		}
-	}
-	return cells
+	return gridCells(megaWorkloads, func(wl string) []int { return megascaleNs(cfg, wl) },
+		func(wl string, n int) string { return fmt.Sprintf("megascale/%s/N=%d", wl, n) },
+		func(cc *Config, wl string, n int) any { return runMegaCell(wl, n, cc) })
 }
 
 // MegascaleSweep runs the full megascale cell grid and returns the
@@ -495,9 +304,9 @@ func MegascaleSweep(cfg *Config) []MegaResult {
 }
 
 var megaWorkloadDesc = map[string]string{
-	"udp-echo": fmt.Sprintf("%d-byte UDP echo, one 3-atom filter + shared ASH per endpoint", megaPayload),
-	"tcp-pp":   fmt.Sprintf("%d-byte TCP ping-pong via fan-in accept + ConnTable", megaPayload),
-	"nfs-read": fmt.Sprintf("%d-byte NFS reads, one socket, ring high-water %d", megaReadBytes, megaNFSHighWater),
+	"udp-echo": fmt.Sprintf("%d-byte UDP echo, one 3-atom filter + shared ASH per endpoint", faninPayload),
+	"tcp-pp":   fmt.Sprintf("%d-byte TCP ping-pong via fan-in accept + ConnTable", faninPayload),
+	"nfs-read": fmt.Sprintf("%d-byte NFS reads, one socket, ring high-water %d", faninReadBytes, megaNFSHighWater),
 }
 
 // renderMegascale formats one table per workload. Column sets differ

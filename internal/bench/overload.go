@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -19,7 +18,7 @@ import (
 	"ashs/internal/workload"
 )
 
-// The overload experiment drives the scale topology with adversarial
+// The overload experiment drives the fan-in harness with adversarial
 // open-loop traces (internal/workload) against a relay service expressed
 // as per-client ASHs (internal/proto/relay), with every stage of the
 // overload-control plane engaged:
@@ -181,22 +180,6 @@ func overloadTenant(client int) string {
 	return fmt.Sprintf("t%d", client%overloadTenants)
 }
 
-// overloadReplyFrame wraps a relay reply in Ethernet+IP+UDP headers
-// addressed back to client c's lane at dstPort.
-func (w *scaleWorld) overloadReplyFrame(c scaleHost, dstPort uint16, rep []byte) []byte {
-	eh := ether.Header{Dst: ether.PortMAC(c.e.Addr()), Src: ether.PortMAC(w.srv.e.Addr()),
-		Type: ether.TypeIPv4}
-	b := eh.Marshal(nil)
-	ih := ip.Header{TotalLen: uint16(ip.HeaderLen + udp.HeaderLen + len(rep)),
-		TTL: 64, Proto: ip.ProtoUDP, DF: true, Src: w.srv.ip, Dst: c.ip}
-	b = ih.Marshal(b)
-	b = binary.BigEndian.AppendUint16(b, overloadPort)
-	b = binary.BigEndian.AppendUint16(b, dstPort)
-	b = binary.BigEndian.AppendUint16(b, uint16(udp.HeaderLen+len(rep)))
-	b = binary.BigEndian.AppendUint16(b, 0) // checksum not used
-	return append(b, rep...)
-}
-
 // overloadReq extracts the relay request and its UDP source port (the
 // client lane to answer) from a striped receive buffer, validating lengths
 // against the UDP header. ok=false means the frame is malformed or
@@ -220,7 +203,7 @@ func overloadReq(raw []byte, frameLen int) (req []byte, srcPort uint16, ok bool)
 }
 
 // runOverloadCell replays one trace through one fault schedule: a fresh
-// 16-client scale world, per-client relay ASHs with admission control and
+// 16-client fan-in world, per-client relay ASHs with admission control and
 // tenant quotas on the server, backoff clients replaying their trace
 // slices open-loop.
 func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadResult {
@@ -247,12 +230,13 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	// that duplicate replies to retransmitted requests don't exhaust the
 	// pool, so size them up from the scale experiment's one-socket
 	// default.
-	w := newScaleWorldMem(overloadClients, 1<<20, 4*overloadLanes)
+	w := newFaninWorld(faninServerMem, faninPool(overloadClients))
+	w.addHosts(overloadClients, 1<<20, 4*overloadLanes)
 	pl := fault.New(overloadFaultSeed, sched)
 	pl.AttachWire(w.sw)
 	pl.AttachEthernet(w.srv.e)
-	pl.AttachSystem(w.srv.sys)
-	w.srv.sys.Quota = sandbox.NewQuotaLedger(
+	pl.AttachSystem(w.sys)
+	w.sys.Quota = sandbox.NewQuotaLedger(
 		w.prof.Cycles(overloadQuotaWindowUs), sim.Time(overloadTenantBudget))
 
 	rsrv := relay.NewServer(overloadRelayConfig())
@@ -263,22 +247,20 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	// interrupt path; quota-throttled and garbage frames fall through to
 	// the ring, where the drainer serves them at user level (slower, but
 	// served — throttling defers work, it does not discard it).
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli {
 		tenant := overloadTenant(i)
 		w.srv.k.Spawn(fmt.Sprintf("relay-%d", i), func(p *aegis.Process) {
 			// A 5-atom peer filter (any source port): all of client i's
 			// lanes land on one binding, so its bursts concentrate on one
 			// ring and admission control has a meaningful watermark.
-			f := scalePeerFilter(w.srv.ip, ip.ProtoUDP, overloadPort, c.ip)
+			f := peerFilter(w.srv.ip, ip.ProtoUDP, overloadPort, c.ip)
 			b, err := w.srv.e.BindFilter(p, f)
 			if err != nil {
 				panic(err)
 			}
 			b.Ring.HighWater = overloadHighWater
 			dst := c.e.Addr()
-			ash := w.srv.sys.NewFuncASH(p, fmt.Sprintf("relay-%d", i), true,
+			ash := w.sys.NewFuncASH(p, fmt.Sprintf("relay-%d", i), true,
 				func(ctx *core.Ctx) aegis.Disposition {
 					// Header validation against the UDP length field.
 					ctx.Straightline(24, 8)
@@ -290,7 +272,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					ctx.Straightline(2*len(req), len(req))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(ctx.When()), tenant, req)
 					ctx.Straightline(insns, memops)
-					ctx.Send(dst, 0, w.overloadReplyFrame(c, lane, rep))
+					ctx.Send(dst, 0, append(w.udpReply(dst, overloadPort, lane, len(rep)), rep...))
 					return aegis.DispConsumed
 				})
 			ash.Tenant = tenant
@@ -310,7 +292,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 					p.Compute(w.prof.Cycles(overloadLazyUs))
 					rep, insns, memops := rsrv.Handle(w.prof.Us(p.K.Now()), tenant, req)
 					p.Compute(sim.Time(24 + 2*len(req) + insns + 2*memops))
-					w.srv.e.Send(p, dst, w.overloadReplyFrame(c, lane, rep))
+					w.srv.e.Send(p, dst, append(w.udpReply(dst, overloadPort, lane, len(rep)), rep...))
 					lazyServed++
 				}
 				w.srv.e.FreeBuf(e.BufIndex)
@@ -331,17 +313,14 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	ends := make([]sim.Time, overloadClients*overloadLanes)
 	var completed, failed, retries uint64
 	done := 0
-	for i := range w.cli {
-		i := i
-		c := w.cli[i]
+	for i, c := range w.cli {
 		evs := perClient[i]
 		for lane := 0; lane < overloadLanes; lane++ {
-			lane := lane
-			lanePort := uint16(scaleClientPort + lane)
+			lanePort := uint16(faninClientPort + lane)
 			c.k.Spawn(fmt.Sprintf("client-%d", lane), func(p *aegis.Process) {
 				defer func() { done++ }()
 				sock := udp.NewSocket(
-					w.stack(p, c, scaleListenFilter(c.ip, ip.ProtoUDP, lanePort)),
+					w.stack(p, c, listenFilter(c.ip, ip.ProtoUDP, lanePort)),
 					lanePort, udp.Options{})
 				bo := retry.New(retry.Policy{
 					BaseUs: overloadBackoffBaseUs,
@@ -450,7 +429,7 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 	res.PoolDrops = w.srv.e.DroppedNoBuf
 	res.InjectedDrops = w.srv.e.InjectedRingDrops + w.srv.e.InjectedPoolDrops
 	res.CRCDrops = w.srv.e.CRCDrops
-	res.QuotaThrottled = w.srv.sys.QuotaThrottled
+	res.QuotaThrottled = w.sys.QuotaThrottled
 	res.LazyServed = lazyServed
 	res.RelayRejected = rsrv.Rejected
 	res.RelayExpired = rsrv.Expired
@@ -460,17 +439,9 @@ func runOverloadCell(cfg *Config, tr overloadTrace, schedName string) OverloadRe
 // overloadCells enumerates the matrix, trace-major so the rendered table
 // reads straight out of the result slice.
 func overloadCells(cfg *Config) []Cell {
-	var cells []Cell
-	for _, tr := range overloadTraces() {
-		for _, sc := range overloadScheds {
-			tr, sc := tr, sc
-			cells = append(cells, Cell{
-				Label: fmt.Sprintf("overload/%s/%s", tr.Name, sc),
-				Run:   func(cc *Config) any { return runOverloadCell(cc, tr, sc) },
-			})
-		}
-	}
-	return cells
+	return gridCells(overloadTraces(), func(overloadTrace) []string { return overloadScheds },
+		func(tr overloadTrace, sc string) string { return fmt.Sprintf("overload/%s/%s", tr.Name, sc) },
+		func(cc *Config, tr overloadTrace, sc string) any { return runOverloadCell(cc, tr, sc) })
 }
 
 // RunOverload executes the full matrix.

@@ -2,11 +2,8 @@ package bench
 
 import (
 	"ashs/internal/aegis"
-	"ashs/internal/dpf"
 	"ashs/internal/proto/arp"
-	"ashs/internal/proto/ether"
 	"ashs/internal/proto/ip"
-	"ashs/internal/proto/link"
 	"ashs/internal/proto/tcp"
 	"ashs/internal/proto/udp"
 	"ashs/internal/sim"
@@ -370,33 +367,11 @@ func tcpThroughputAN2(cfg *Config, totalBytes int, inplace, cksum bool) float64 
 // EthStack builds an IP stack over the Ethernet for p, demuxing with a DPF
 // filter on (ethertype, local IP, protocol, local port).
 func (tb *Testbed) EthStack(p *aegis.Process, host int, proto byte, port uint16, svc *arp.Service) *ip.Stack {
-	iface := tb.E1
-	local := tb.IP1
+	iface, local := tb.E1, tb.IP1
 	if host == 2 {
-		iface = tb.E2
-		local = tb.IP2
+		iface, local = tb.E2, tb.IP2
 	}
-	f := dpf.NewFilter().
-		Eq16(12, ether.TypeIPv4).
-		Eq32(ether.HeaderLen+16, ipU32(local)).
-		Eq8(ether.HeaderLen+9, proto).
-		Eq16(ether.HeaderLen+ip.HeaderLen+2, port)
-	ep, err := link.BindEthernet(iface, p, f)
-	if err != nil {
-		panic(err)
-	}
-	st := ip.NewStack(ep, local, svc)
-	st.LinkHdrLen = ether.HeaderLen
-	myMAC := ether.PortMAC(iface.Addr())
-	st.PrependLink = func(dst link.Addr, b []byte) []byte {
-		h := ether.Header{Dst: ether.PortMAC(dst.Port), Src: myMAC, Type: ether.TypeIPv4}
-		return h.Marshal(b)
-	}
-	return st
-}
-
-func ipU32(a ip.Addr) uint32 {
-	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
+	return ethStack(iface, p, local, listenFilter(local, proto, port), svc)
 }
 
 // ethWorld prepares the Ethernet testbed with ARP daemons.
@@ -526,6 +501,3 @@ func (t Table2) Table() *Table {
 	}
 	return tab
 }
-
-// EthWorldDebug exposes the Ethernet world builder for diagnostics.
-func EthWorldDebug() (*Testbed, *arp.Service, *arp.Service) { return ethWorld(nil) }

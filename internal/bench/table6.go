@@ -151,14 +151,3 @@ func (t Table6) Table() *Table {
 		},
 	}
 }
-
-// Table6LatencyDebug and Table6TputDebug expose single-mode runs for
-// diagnostics.
-func Table6LatencyDebug(mode, iters int) float64 {
-	return table6Latency(nil, table6Modes[mode], iters, nil)
-}
-
-// Table6TputDebug measures one mode's throughput.
-func Table6TputDebug(mode, bytes, mss, ws int) float64 {
-	return table6Tput(nil, table6Modes[mode], bytes, mss, ws)
-}

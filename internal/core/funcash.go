@@ -204,19 +204,6 @@ func (c *Ctx) chargeMemOp() {
 // the system call interface for upcalls — the context knows which).
 func (c *Ctx) Send(dst, vc int, data []byte) { c.mc.Send(dst, vc, data) }
 
-// TrustedCopy is the aggregated-check bulk copy.
-func (c *Ctx) TrustedCopy(src, dst uint32, n int) error {
-	c.mc.Charge(12)
-	m := vcode.NewMachine(c.sys.K.Prof, c.sys.K.Mem)
-	m.Cache = c.sys.K.Cache
-	a := &ASH{Owner: c.owner, sys: c.sys}
-	if err := c.sys.trustedCopy(m, a, src, dst, n); err != nil {
-		return err
-	}
-	c.mc.Charge(m.Cycles)
-	return nil
-}
-
 // DILP runs a registered transfer engine over [src, src+n) -> dst,
 // returning the engine's first persistent register (e.g. the checksum
 // accumulator). Checks are aggregated; per-word costs come from the

@@ -89,15 +89,6 @@ func (c *Cache) LoadRange(addr uint32, n int) sim.Time {
 	return t
 }
 
-// StoreRange charges a streaming word-by-word write of [addr, addr+n).
-func (c *Cache) StoreRange(addr uint32, n int) sim.Time {
-	var t sim.Time
-	for off := 0; off < n; off += 4 {
-		t += c.Store(addr + uint32(off))
-	}
-	return t
-}
-
 // Warm marks [addr, addr+n) resident without charging cycles (for setting
 // up "cached" experimental conditions).
 func (c *Cache) Warm(addr uint32, n int) {

@@ -1,7 +1,5 @@
 package netdev
 
-import "fmt"
-
 // PacketBuf is a frame in flight, leased from a switch's BufPool. The
 // lease discipline is explicit, exokernel-style resource ownership:
 //
@@ -60,14 +58,6 @@ func (b *PacketBuf) Grow(n int) []byte {
 	}
 	b.n = n
 	return b.buf[:n]
-}
-
-// Truncate shortens the payload to n bytes.
-func (b *PacketBuf) Truncate(n int) {
-	if n < 0 || n > b.n {
-		panic(fmt.Sprintf("netdev: truncate %d outside payload of %d", n, b.n))
-	}
-	b.n = n
 }
 
 // Retain adds a reference: the holder promises a matching Release.
@@ -141,6 +131,3 @@ func (p *BufPool) Lease() *PacketBuf {
 
 // InUse reports the number of leased buffers not yet fully released.
 func (p *BufPool) InUse() int { return p.inUse }
-
-// FrameCap reports the largest payload a leased buffer can hold.
-func (p *BufPool) FrameCap() int { return p.frameCap }

@@ -184,15 +184,6 @@ func (s *Switch) FixedCycles() sim.Time {
 // the sender (shared-medium Ethernet semantics).
 const Broadcast = -1
 
-// Ports returns the addresses of all attached ports.
-func (s *Switch) Ports() []int {
-	out := make([]int, len(s.ports))
-	for i := range s.ports {
-		out[i] = i
-	}
-	return out
-}
-
 // Transmit queues pkt for transmission from this port, consuming the
 // caller's reference — on success and on error alike, the caller must
 // not touch pkt afterwards. Delivery happens FixedOneWay after

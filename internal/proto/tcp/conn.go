@@ -197,15 +197,6 @@ type Conn struct {
 // State reports the connection state.
 func (c *Conn) State() State { return c.state }
 
-// DebugString summarizes the PCB for fault-injection diagnostics.
-func (c *Conn) DebugString() string {
-	return fmt.Sprintf("state=%v sndUna=%d sndNxt=%d rcvNxt=%d sndWnd=%d rtxq=%d "+
-		"ackDue=%v unacked=%d slowQueued=%d hr=[%d,%d) segsIn=%d segsOut=%d rexmt=%d err=%v",
-		c.state, c.sndUna-c.iss, c.sndNxt-c.iss, c.rcvNxt-c.irs, c.sndWnd, len(c.rtxq),
-		c.ackDue, c.unacked, c.slowQueued, c.hrHead, c.hrTail, c.SegsIn, c.SegsOut,
-		c.Retransmits, c.err)
-}
-
 // newConn builds the PCB. Allocating the handler ring can fail if the
 // guest's host is out of physical memory; the error propagates out of
 // Connect/Accept instead of crashing the simulation.
