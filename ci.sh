@@ -63,7 +63,8 @@ fi
 # path fails here. FuzzDifferentialSFI drives random verifiable programs
 # through the three-way naive/optimized/re-optimized oracle, and
 # FuzzReoptProfile attacks the same oracle from the profile side with raw
-# fuzzer bytes as the profile.
+# fuzzer bytes as the profile. FuzzNFSDispatch feeds raw datagrams to the
+# NFS server's dispatcher and checks its store invariants after each.
 echo "== fuzz sweep (10s per target)"
 go test -run '^$' -fuzz '^FuzzIPParse$' -fuzztime 10s ./internal/proto/ip/
 go test -run '^$' -fuzz '^FuzzTCPHeader$' -fuzztime 10s ./internal/proto/tcp/
@@ -71,6 +72,7 @@ go test -run '^$' -fuzz '^FuzzDPFDemux$' -fuzztime 10s ./internal/dpf/
 go test -run '^$' -fuzz '^FuzzTraceParse$' -fuzztime 10s ./internal/workload/
 go test -run '^$' -fuzz '^FuzzDifferentialSFI$' -fuzztime 10s ./internal/sandbox/
 go test -run '^$' -fuzz '^FuzzReoptProfile$' -fuzztime 10s ./internal/sandbox/
+go test -run '^$' -fuzz '^FuzzNFSDispatch$' -fuzztime 10s ./internal/proto/nfs/
 
 # Parallel runner determinism: the full suite at -parallel=1 (serial
 # reference) and at one-worker-per-CPU must print byte-identical stdout.
@@ -175,7 +177,7 @@ if fresh_names != committed_names:
     sys.exit("BENCH_hotpath.json structure drifted: committed %s vs fresh %s "
              "— regenerate with `go run ./cmd/hotpathbench`" % (committed_names, fresh_names))
 zero_alloc = {"DPFTrieWalk", "DPFLinearScan", "VCODEDispatch",
-              "SimEventQueue", "CalendarQueue", "PacketPath"}
+              "SimEventQueue", "TimerChurn", "PacketPath"}
 bad = [(b["name"], b["allocs_per_op"]) for b in fresh["benchmarks"]
        if b["name"] in zero_alloc and b["allocs_per_op"] > 0]
 if bad:

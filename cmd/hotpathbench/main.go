@@ -46,7 +46,7 @@ func main() {
 		{"VCODEDispatch", hotpath.VCODEDispatch},
 		{"SandboxInstrument", hotpath.SandboxInstrument},
 		{"SimEventQueue", hotpath.SimEventQueue},
-		{"CalendarQueue", hotpath.CalendarQueue},
+		{"TimerChurn", hotpath.TimerChurn},
 		{"PacketPath", hotpath.PacketPath},
 	}
 

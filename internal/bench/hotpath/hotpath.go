@@ -181,15 +181,15 @@ func SimEventQueue(b *testing.B) {
 	}
 }
 
-// CalendarQueue measures the retransmit-timer pattern against the
-// calendar event queue — the dominant schedule shape of the megascale
-// fleet, where every request arms a far-future reply-wait timer that the
-// reply almost always cancels. Each dispatched event arms a timer a
-// million ticks out (a sparse far bucket), cancels it, and reschedules
-// itself QueueDepth ticks out through the closure-free ScheduleArg path,
-// so one iteration is one pop, one far insert, one remove, and one near
-// insert — all at 0 allocs/op through the engine's event freelist.
-func CalendarQueue(b *testing.B) {
+// TimerChurn measures the retransmit-timer pattern against the engine's
+// event queue — the dominant schedule shape of the megascale fleet, where
+// every request arms a far-future reply-wait timer that the reply almost
+// always cancels. Each dispatched event arms a timer a billion ticks out,
+// cancels it, and reschedules itself QueueDepth ticks out through the
+// closure-free ScheduleArg path, so one iteration is one pop, one far
+// insert, one remove, and one near insert — all at 0 allocs/op through
+// the engine's event freelist.
+func TimerChurn(b *testing.B) {
 	eng := sim.NewEngine()
 	fired := 0
 	var tick func(any)

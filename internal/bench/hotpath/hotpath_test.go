@@ -13,7 +13,7 @@ func BenchmarkDPFLinearScan(b *testing.B)     { DPFLinearScan(b) }
 func BenchmarkVCODEDispatch(b *testing.B)     { VCODEDispatch(b) }
 func BenchmarkSandboxInstrument(b *testing.B) { SandboxInstrument(b) }
 func BenchmarkSimEventQueue(b *testing.B)     { SimEventQueue(b) }
-func BenchmarkCalendarQueue(b *testing.B)     { CalendarQueue(b) }
+func BenchmarkTimerChurn(b *testing.B)        { TimerChurn(b) }
 func BenchmarkPacketPath(b *testing.B)        { PacketPath(b) }
 
 // TestBodiesRun drives each benchmark body through testing.Benchmark —
@@ -32,7 +32,7 @@ func TestBodiesRun(t *testing.T) {
 		{"VCODEDispatch", VCODEDispatch},
 		{"SandboxInstrument", SandboxInstrument},
 		{"SimEventQueue", SimEventQueue},
-		{"CalendarQueue", CalendarQueue},
+		{"TimerChurn", TimerChurn},
 		{"PacketPath", PacketPath},
 	} {
 		if r := testing.Benchmark(bm.fn); r.N == 0 {

@@ -49,6 +49,11 @@ const RootHandle Handle = 1
 // MaxIO bounds one READ/WRITE transfer (NFSv2 used 8 KB).
 const MaxIO = 8192
 
+// MaxFileSize bounds a file in the store. A WRITE whose end would pass it
+// gets ErrFBig, so an offset from the wire cannot make the server
+// allocate more than this for one file.
+const MaxFileSize = 16 << 20
+
 // Attr is a file's attributes.
 type Attr struct {
 	Handle Handle
@@ -193,11 +198,14 @@ func (s *Server) dispatch(req []byte) []byte {
 		if len(data) > MaxIO {
 			return fail(ErrFBig)
 		}
-		end := int(off) + len(data)
-		if end > len(f.data) {
-			grown := make([]byte, end)
-			copy(grown, f.data)
-			f.data = grown
+		end := int64(off) + int64(len(data))
+		if end > MaxFileSize {
+			return fail(ErrFBig)
+		}
+		if n := int(end) - len(f.data); n > 0 {
+			// Amortized growth: a file written sequentially is copied
+			// O(log size) times, not once per extending write.
+			f.data = append(f.data, make([]byte, n)...)
 			f.attr.Size = uint32(end)
 		}
 		copy(f.data[off:], data)
@@ -228,6 +236,16 @@ func (s *Server) dispatch(req []byte) []byte {
 }
 
 func be32(b []byte) uint32 { return binary.BigEndian.Uint32(b) }
+
+// request marshals one call in the layout dispatch reads.
+func request(xid, proc uint32, fh Handle, a, b uint32, payload []byte) []byte {
+	req := binary.BigEndian.AppendUint32(nil, xid)
+	req = binary.BigEndian.AppendUint32(req, proc)
+	req = binary.BigEndian.AppendUint32(req, uint32(fh))
+	req = binary.BigEndian.AppendUint32(req, a)
+	req = binary.BigEndian.AppendUint32(req, b)
+	return append(req, payload...)
+}
 
 func rpcReply(xid, status uint32, body []byte) []byte {
 	out := binary.BigEndian.AppendUint32(nil, xid)
@@ -290,12 +308,7 @@ func NewClient(sock *udp.Socket, server ip.Addr, port uint16) *Client {
 func (c *Client) call(p *aegis.Process, proc uint32, fh Handle, a, b uint32, payload []byte) (uint32, []byte, error) {
 	c.xid++
 	xid := c.xid
-	req := binary.BigEndian.AppendUint32(nil, xid)
-	req = binary.BigEndian.AppendUint32(req, proc)
-	req = binary.BigEndian.AppendUint32(req, uint32(fh))
-	req = binary.BigEndian.AppendUint32(req, a)
-	req = binary.BigEndian.AppendUint32(req, b)
-	req = append(req, payload...)
+	req := request(xid, proc, fh, a, b, payload)
 
 	k := c.Sock.St.Ep.Kernel()
 	if c.Backoff != nil {

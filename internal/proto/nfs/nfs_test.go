@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ashs/internal/aegis"
@@ -237,4 +238,32 @@ func TestCreateIdempotent(t *testing.T) {
 			t.Errorf("retransmitted CREATE made a second file: %v vs %v", a1.Handle, a2.Handle)
 		}
 	})
+}
+
+// TestWriteHugeOffset: a WRITE whose offset comes straight off the wire
+// near 2^32 must be refused with ErrFBig, leave the file as it was, and
+// not make the server allocate for the bogus extent.
+func TestWriteHugeOffset(t *testing.T) {
+	srv := NewServer()
+	fh := srv.AddFile("f", []byte("0123456789"))
+	for _, off := range []uint32{MaxFileSize - 1, 1 << 31, 0xffff_fff0} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reply := srv.dispatch(request(7, ProcWrite, fh, off, 0, []byte("XY")))
+		runtime.ReadMemStats(&after)
+		if st := be32(reply[4:]); st != ErrFBig {
+			t.Fatalf("offset %#x: status %d, want ErrFBig", off, st)
+		}
+		if f := srv.files[fh]; f.attr.Size != 10 || string(f.data) != "0123456789" {
+			t.Fatalf("offset %#x: file changed to size %d, %d bytes", off, f.attr.Size, len(f.data))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("offset %#x: refused write allocated %d bytes", off, grew)
+		}
+	}
+	// The largest file the store allows is still writable.
+	reply := srv.dispatch(request(8, ProcWrite, fh, MaxFileSize-2, 0, []byte("XY")))
+	if st := be32(reply[4:]); st != OK || srv.files[fh].attr.Size != MaxFileSize {
+		t.Fatalf("write ending at MaxFileSize: status %d, size %d", st, srv.files[fh].attr.Size)
+	}
 }

@@ -18,13 +18,13 @@
 // (FIFO by sequence number). Processes only advance when the engine resumes
 // them, and the engine only advances when the running process parks.
 //
-// The engine runs against a pluggable EventQueue (a calendar queue by
-// default; see CalendarQueue) and recycles Events through a freelist, so
-// steady-state scheduling performs zero heap allocations. Because fired
-// events are reused, Schedule/ScheduleAt hand back a Timer — a
-// generation-checked handle — rather than the *Event itself; cancelling a
-// Timer whose event already fired (and possibly now carries an unrelated
-// callback) is a safe no-op.
+// The engine runs against an EventQueue (a 4-ary min-heap, see
+// NewHeapQueue; tests and instrumentation may wrap or substitute it) and
+// recycles Events through a freelist, so steady-state scheduling performs
+// zero heap allocations. Because fired events are reused,
+// Schedule/ScheduleAt hand back a Timer — a generation-checked handle —
+// rather than the *Event itself; cancelling a Timer whose event already
+// fired (and possibly now carries an unrelated callback) is a safe no-op.
 package sim
 
 import (
@@ -58,14 +58,15 @@ type Engine struct {
 }
 
 // NewEngine returns an empty engine at virtual time zero, scheduling
-// against a calendar queue.
+// against the event heap.
 func NewEngine() *Engine {
-	return &Engine{q: NewCalendarQueue()}
+	return &Engine{q: NewHeapQueue()}
 }
 
 // NewEngineWithQueue returns an empty engine scheduling against q. Tests
-// use it to run the same workload over different queue implementations;
-// everything else wants NewEngine.
+// use it to check the engine against a reference queue, and
+// instrumentation to wrap the heap in a counting queue; everything else
+// wants NewEngine.
 func NewEngineWithQueue(q EventQueue) *Engine {
 	return &Engine{q: q}
 }

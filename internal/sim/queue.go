@@ -1,10 +1,9 @@
 package sim
 
-// Event is one scheduled callback. Events are intrusive — the links below
-// thread them into whichever EventQueue the engine runs on — and are
-// recycled through the engine's freelist once fired or cancelled, so
-// steady-state scheduling allocates nothing. Because a recycled Event may
-// be reused for an unrelated callback, callers never hold *Event directly:
+// Event is one scheduled callback. Events are recycled through the
+// engine's freelist once fired or cancelled, so steady-state scheduling
+// allocates nothing. Because a recycled Event may be reused for an
+// unrelated callback, callers never hold *Event directly:
 // Schedule/ScheduleAt return a generation-checked Timer handle instead.
 type Event struct {
 	at  Time
@@ -22,25 +21,14 @@ type Event struct {
 	afn func(any)
 	arg any
 
-	// Queue linkage: doubly linked within a calendar bucket (and the
-	// freelist reuses next). heapIdx is the position when the event sits
-	// in a heapQueue instead.
-	next, prev *Event
-	heapIdx    int
-	queued     bool
+	// next chains the engine's freelist. heapIdx is the event's slot in
+	// the heap while it is queued, so Remove needs no search.
+	next    *Event
+	heapIdx int
 }
 
 // At reports the virtual time at which the event is scheduled.
 func (ev *Event) At() Time { return ev.at }
-
-// before is the engine's total order: time, then scheduling sequence, so
-// events at equal times fire FIFO.
-func (ev *Event) before(o *Event) bool {
-	if ev.at != o.at {
-		return ev.at < o.at
-	}
-	return ev.seq < o.seq
-}
 
 // EventQueue is the ordered queue the engine schedules against. The
 // engine owns event allocation and recycling; a queue only links and
@@ -59,93 +47,122 @@ type EventQueue interface {
 	Len() int
 }
 
-// heapQueue is a plain binary heap over the intrusive events. It is the
-// reference implementation: O(log n) everywhere, no tuning knobs. The
-// engine's default is the calendar queue; the heap stays as the oracle
-// for differential tests and as a fallback for pathological schedules.
+// heapQueue is the engine's event queue: a 4-ary min-heap ordered by the
+// engine's total order (at, seq), so events at equal times pop FIFO.
+// Each slot stores its event's key inline, so a sift compares keys in
+// one contiguous slice and dereferences an event only to update its
+// heapIdx. The fan-out of four halves the depth of a binary heap and
+// keeps a slot's four children in 96 contiguous bytes.
+//
+// A heap has no parameter tuned to the traffic. The simulator's traffic
+// mixes µs-scale wire events, ms-scale protocol timers that are mostly
+// cancelled, and bursts at one timestamp, and no single bucket width
+// suits all three: the calendar queue this heap replaced kept a
+// one-cycle day width on the fan-in TCP workload and walked ~528 days
+// per PeekMin there (DESIGN.md §15).
+//
+// Every operation is O(log n). The slice grows to the schedule's peak
+// depth and is then reused: steady-state scheduling allocates nothing.
 type heapQueue struct {
-	evs []*Event
+	slots []heapSlot
 }
 
-// NewHeapQueue returns an empty binary-heap event queue.
+type heapSlot struct {
+	at  Time
+	seq uint64
+	ev  *Event
+}
+
+func (s *heapSlot) before(o *heapSlot) bool {
+	return s.at < o.at || (s.at == o.at && s.seq < o.seq)
+}
+
+// NewHeapQueue returns an empty event queue.
 func NewHeapQueue() EventQueue { return &heapQueue{} }
 
-func (h *heapQueue) Len() int { return len(h.evs) }
+// Deprecated: NewCalendarQueue returns NewHeapQueue(); the calendar queue is gone.
+func NewCalendarQueue() EventQueue { return NewHeapQueue() }
+
+func (h *heapQueue) Len() int { return len(h.slots) }
 
 func (h *heapQueue) Insert(ev *Event) {
-	ev.heapIdx = len(h.evs)
-	ev.queued = true
-	h.evs = append(h.evs, ev)
-	h.siftUp(ev.heapIdx)
-}
-
-func (h *heapQueue) Remove(ev *Event) {
-	i := ev.heapIdx
-	last := len(h.evs) - 1
-	if i != last {
-		h.evs[i] = h.evs[last]
-		h.evs[i].heapIdx = i
-	}
-	h.evs[last] = nil
-	h.evs = h.evs[:last]
-	if i != last {
-		if !h.siftUp(i) {
-			h.siftDown(i)
-		}
-	}
-	ev.queued = false
+	h.slots = append(h.slots, heapSlot{})
+	h.up(len(h.slots)-1, heapSlot{at: ev.at, seq: ev.seq, ev: ev})
 }
 
 func (h *heapQueue) PeekMin() *Event {
-	if len(h.evs) == 0 {
+	if len(h.slots) == 0 {
 		return nil
 	}
-	return h.evs[0]
+	return h.slots[0].ev
 }
 
 func (h *heapQueue) PopMin() *Event {
-	if len(h.evs) == 0 {
+	if len(h.slots) == 0 {
 		return nil
 	}
-	ev := h.evs[0]
+	ev := h.slots[0].ev
 	h.Remove(ev)
 	return ev
 }
 
-func (h *heapQueue) siftUp(i int) bool {
-	moved := false
+// Remove fills ev's slot with the last slot's entry and sifts that entry
+// up or down from there.
+func (h *heapQueue) Remove(ev *Event) {
+	i, n := ev.heapIdx, len(h.slots)-1
+	last := h.slots[n]
+	h.slots[n] = heapSlot{} // drop the event pointer for the GC
+	h.slots = h.slots[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(&h.slots[(i-1)/4]) {
+		h.up(i, last)
+	} else {
+		h.down(i, last)
+	}
+}
+
+// up places s at slot i or above, moving larger ancestors down.
+func (h *heapQueue) up(i int, s heapSlot) {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.evs[i].before(h.evs[parent]) {
+		p := (i - 1) / 4
+		if !s.before(&h.slots[p]) {
 			break
 		}
-		h.swap(i, parent)
-		i = parent
-		moved = true
+		h.move(i, p)
+		i = p
 	}
-	return moved
+	h.slots[i] = s
+	s.ev.heapIdx = i
 }
 
-func (h *heapQueue) siftDown(i int) {
-	n := len(h.evs)
+// down places s at slot i or below, moving smaller children up.
+func (h *heapQueue) down(i int, s heapSlot) {
+	n := len(h.slots)
 	for {
-		min := i
-		if l := 2*i + 1; l < n && h.evs[l].before(h.evs[min]) {
-			min = l
+		c := 4*i + 1
+		if c >= n {
+			break
 		}
-		if r := 2*i + 2; r < n && h.evs[r].before(h.evs[min]) {
-			min = r
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if h.slots[j].before(&h.slots[m]) {
+				m = j
+			}
 		}
-		if min == i {
-			return
+		if !h.slots[m].before(&s) {
+			break
 		}
-		h.swap(i, min)
-		i = min
+		h.move(i, m)
+		i = m
 	}
+	h.slots[i] = s
+	s.ev.heapIdx = i
 }
 
-func (h *heapQueue) swap(i, j int) {
-	h.evs[i], h.evs[j] = h.evs[j], h.evs[i]
-	h.evs[i].heapIdx = i
-	h.evs[j].heapIdx = j
+// move copies slot from into slot to.
+func (h *heapQueue) move(to, from int) {
+	h.slots[to] = h.slots[from]
+	h.slots[to].ev.heapIdx = to
 }

@@ -16,104 +16,180 @@ func (s *splitmix64) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// TestCalendarMatchesHeap drives the calendar queue and the reference
-// heap through an identical randomized schedule — bursty inserts, far
-// deadlines, cancellations — and requires identical pop sequences. The
-// calendar's resizing and year-window scanning must never reorder
-// (at, seq) ties.
-func TestCalendarMatchesHeap(t *testing.T) {
+// scanQueue is the differential tests' oracle: an unordered slice
+// searched linearly for the minimum (at, seq) on every peek. It is far
+// too slow for the engine and too simple to get the order wrong.
+type scanQueue struct{ evs []*Event }
+
+func (q *scanQueue) Insert(ev *Event) { q.evs = append(q.evs, ev) }
+
+func (q *scanQueue) Remove(ev *Event) {
+	for i, e := range q.evs {
+		if e == ev {
+			q.evs = append(q.evs[:i], q.evs[i+1:]...)
+			return
+		}
+	}
+	panic("scanQueue: removing an event that is not queued")
+}
+
+func (q *scanQueue) PeekMin() *Event {
+	var best *Event
+	for _, e := range q.evs {
+		if best == nil || e.at < best.at || (e.at == best.at && e.seq < best.seq) {
+			best = e
+		}
+	}
+	return best
+}
+
+func (q *scanQueue) PopMin() *Event {
+	ev := q.PeekMin()
+	if ev != nil {
+		q.Remove(ev)
+	}
+	return ev
+}
+
+func (q *scanQueue) Len() int { return len(q.evs) }
+
+// checkHeap verifies the heap's structure: every slot's inline key is its
+// event's key, every event knows its slot, and no slot orders before its
+// parent.
+func checkHeap(t *testing.T, h *heapQueue) {
+	t.Helper()
+	for i := range h.slots {
+		s := &h.slots[i]
+		if s.ev.heapIdx != i || s.at != s.ev.at || s.seq != s.ev.seq {
+			t.Fatalf("slot %d holds (%d,%d) for event (%d,%d) at index %d",
+				i, s.at, s.seq, s.ev.at, s.ev.seq, s.ev.heapIdx)
+		}
+		if p := (i - 1) / 4; i > 0 && s.before(&h.slots[p]) {
+			t.Fatalf("slot %d (%d,%d) orders before its parent %d (%d,%d)",
+				i, s.at, s.seq, p, h.slots[p].at, h.slots[p].seq)
+		}
+	}
+}
+
+// TestHeapMatchesScanOracle drives the heap and the linear-scan oracle
+// through one randomized schedule — near inserts, equal-time bursts, far
+// deadlines, pops, and removes of the root, the last slot and interior
+// slots — while the queue depth swings between a few events and a few
+// thousand. Pop sequences, peeks and lengths must match throughout.
+func TestHeapMatchesScanOracle(t *testing.T) {
 	rng := splitmix64(12345)
-	cal := NewCalendarQueue()
-	ref := NewHeapQueue()
-	var calLive, refLive []*Event
+	h := NewHeapQueue().(*heapQueue)
+	ref := &scanQueue{}
+	twin := map[*Event]*Event{} // heap event -> its oracle copy
 	seq := uint64(0)
 	floor := Time(0)
 
-	newPair := func(at Time) {
-		a := &Event{at: at, seq: seq}
-		b := &Event{at: at, seq: seq}
+	insert := func(at Time) {
+		a, b := &Event{at: at, seq: seq}, &Event{at: at, seq: seq}
 		seq++
-		cal.Insert(a)
+		h.Insert(a)
 		ref.Insert(b)
-		calLive = append(calLive, a)
-		refLive = append(refLive, b)
+		twin[a] = b
 	}
-	popBoth := func() {
-		a, b := cal.PopMin(), ref.PopMin()
+	pop := func() {
+		a, b := h.PopMin(), ref.PopMin()
 		if (a == nil) != (b == nil) {
-			t.Fatalf("pop mismatch: calendar %v, heap %v", a, b)
+			t.Fatalf("pop mismatch: heap %v, oracle %v", a, b)
 		}
 		if a == nil {
 			return
 		}
-		if a.at != b.at || a.seq != b.seq {
-			t.Fatalf("pop order diverged: calendar (%d,%d) vs heap (%d,%d)", a.at, a.seq, b.at, b.seq)
+		if twin[a] != b {
+			t.Fatalf("pop order diverged: heap (%d,%d) vs oracle (%d,%d)", a.at, a.seq, b.at, b.seq)
 		}
-		if a.at < floor {
-			t.Fatalf("calendar popped %d below floor %d", a.at, floor)
-		}
+		delete(twin, a)
 		floor = a.at
-		for i, ev := range calLive {
-			if ev == a {
-				calLive = append(calLive[:i], calLive[i+1:]...)
-				refLive = append(refLive[:i], refLive[i+1:]...)
-				break
-			}
-		}
 	}
 
-	for op := 0; op < 20000; op++ {
-		switch r := rng.next(); {
-		case r%100 < 55: // insert, biased near the floor
+	removes := [3]int{} // root, last slot, interior
+	for op := 0; op < 30000; op++ {
+		limit := [...]int{8, 300, 2000}[(op/5000)%3]
+		switch r := rng.next() % 100; {
+		case h.Len() == 0 || (r < 45 && h.Len() < limit):
 			at := floor + Time(rng.next()%512)
-			if r%1000 < 30 {
-				at = floor + Time(rng.next()%1_000_000) // far deadline
+			if rng.next()%100 < 3 {
+				at = floor + Time(rng.next()%1_000_000_000) // far deadline
 			}
-			newPair(at)
-			// Equal-time burst half the time.
-			if r%2 == 0 {
-				newPair(at)
+			n := 1
+			if rng.next()%4 == 0 {
+				n += int(rng.next() % 8) // equal-time burst
 			}
-		case r%100 < 85:
-			popBoth()
-		default: // cancel a random live event from both queues
-			if len(calLive) == 0 {
-				continue
+			for ; n > 0; n-- {
+				insert(at)
 			}
-			i := int(rng.next() % uint64(len(calLive)))
-			cal.Remove(calLive[i])
-			ref.Remove(refLive[i])
-			calLive = append(calLive[:i], calLive[i+1:]...)
-			refLive = append(refLive[:i], refLive[i+1:]...)
+		case r < 75 || h.Len() >= limit:
+			pop()
+		default:
+			var i, kind int
+			switch kind = int(rng.next() % 3); kind {
+			case 0:
+				i = 0
+			case 1:
+				i = h.Len() - 1
+			default:
+				i = int(rng.next() % uint64(h.Len()))
+			}
+			removes[kind]++
+			a := h.slots[i].ev
+			h.Remove(a)
+			ref.Remove(twin[a])
+			delete(twin, a)
 		}
-		if cal.Len() != ref.Len() {
-			t.Fatalf("length diverged: calendar %d vs heap %d", cal.Len(), ref.Len())
+		if h.Len() != ref.Len() {
+			t.Fatalf("length diverged: heap %d vs oracle %d", h.Len(), ref.Len())
 		}
+		if a, b := h.PeekMin(), ref.PeekMin(); a != nil && twin[a] != b {
+			t.Fatalf("peek diverged: heap (%d,%d) vs oracle (%d,%d)", a.at, a.seq, b.at, b.seq)
+		}
+		checkHeap(t, h)
 	}
-	for cal.Len() > 0 {
-		popBoth()
+	for h.Len() > 0 {
+		pop()
+	}
+	if ref.Len() != 0 || h.PopMin() != nil || h.PeekMin() != nil {
+		t.Fatalf("drained heap disagrees with oracle (%d left)", ref.Len())
+	}
+	for kind, n := range removes {
+		if n == 0 {
+			t.Fatalf("schedule never exercised remove kind %d", kind)
+		}
 	}
 }
 
-// TestEngineOnHeapQueueEquivalent runs the same simulation on both queue
-// implementations and checks the traces match.
-func TestEngineOnHeapQueueEquivalent(t *testing.T) {
-	run := func(e *Engine) []Time {
-		var trace []Time
+// TestEngineMatchesScanOracle runs one simulation — self-rescheduling
+// ticks, equal-time bursts, and far timers that are mostly cancelled —
+// on the engine's own heap and on the linear-scan oracle, and requires
+// identical firing traces.
+func TestEngineMatchesScanOracle(t *testing.T) {
+	type fired struct {
+		at Time
+		id int
+	}
+	run := func(e *Engine) []fired {
+		var trace []fired
 		rng := splitmix64(7)
+		id := 0
+		note := func(a any) { trace = append(trace, fired{e.Now(), a.(int)}) }
 		var tick func()
-		n := 0
 		tick = func() {
-			trace = append(trace, e.Now())
-			n++
-			if n < 500 {
-				e.Schedule(Time(rng.next()%97), tick)
-				if n%3 == 0 {
-					tm := e.Schedule(Time(rng.next()%29), func() { trace = append(trace, -e.Now()) })
-					if n%6 == 0 {
-						e.Cancel(tm)
-					}
-				}
+			note(-1)
+			if id >= 2000 {
+				return
+			}
+			e.Schedule(Time(rng.next()%97), tick)
+			for n := rng.next() % 4; n > 0; n-- {
+				id++
+				e.ScheduleArg(Time(rng.next()%29), note, id)
+			}
+			id++
+			tm := e.ScheduleArg(Time(1_000_000+rng.next()%1_000_000), note, id)
+			if rng.next()%8 != 0 {
+				e.Cancel(tm)
 			}
 		}
 		e.Schedule(0, tick)
@@ -121,13 +197,13 @@ func TestEngineOnHeapQueueEquivalent(t *testing.T) {
 		return trace
 	}
 	a := run(NewEngine())
-	b := run(NewEngineWithQueue(NewHeapQueue()))
+	b := run(NewEngineWithQueue(&scanQueue{}))
 	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+		t.Fatalf("trace lengths differ: heap %d vs oracle %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %d vs %d", i, a[i], b[i])
+			t.Fatalf("traces diverge at %d: heap %v vs oracle %v", i, a[i], b[i])
 		}
 	}
 }
@@ -166,7 +242,7 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.Schedule(Time(i), tick)
 	}
-	e.RunFor(1000) // warm the freelist and settle calendar size
+	e.RunFor(1000) // warm the freelist and grow the heap to its depth
 	allocs := testing.AllocsPerRun(100, func() {
 		e.RunFor(30)
 	})
@@ -198,9 +274,9 @@ func TestScheduleArgAvoidsClosure(t *testing.T) {
 	}
 }
 
-// TestCalendarSparseFallback exercises the out-of-year scan: a handful
-// of events spread across an enormous time range.
-func TestCalendarSparseFallback(t *testing.T) {
+// TestSparseSchedule orders a handful of events spread across an
+// enormous time range.
+func TestSparseSchedule(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	for _, at := range []Time{1 << 40, 3, 1 << 20, 70, 1 << 30} {
